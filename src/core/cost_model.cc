@@ -4,38 +4,6 @@
 
 namespace taste::core {
 
-double P2CostModel::EstimateSequentialMs(
-    const std::vector<int64_t>& item_tokens) const {
-  double ms = 0.0;
-  for (int64_t t : item_tokens) ms += EstimateBatchMs(t);
-  return ms;
-}
-
-double P2CostModel::PredictedSpeedup(
-    const std::vector<int64_t>& item_tokens) const {
-  if (item_tokens.empty()) return 1.0;
-  int64_t total = 0;
-  for (int64_t t : item_tokens) total += t;
-  const double batched = EstimateBatchMs(total);
-  return batched > 0.0 ? EstimateSequentialMs(item_tokens) / batched : 1.0;
-}
-
-int P2CostModel::MaxItemsUnderCap(const std::vector<int64_t>& item_tokens,
-                                  double cap_ms, int max_items) const {
-  const int bound =
-      std::min<int>(std::max(1, max_items),
-                    static_cast<int>(item_tokens.size()));
-  if (cap_ms <= 0.0) return bound;
-  int n = 0;
-  int64_t tokens = 0;
-  while (n < bound) {
-    tokens += item_tokens[static_cast<size_t>(n)];
-    if (n > 0 && EstimateBatchMs(tokens) > cap_ms) break;
-    ++n;  // the first item is always admitted, cap or no cap
-  }
-  return std::max(1, n);
-}
-
 bool P2CostModel::Calibrate(
     const std::vector<std::pair<int64_t, double>>& samples) {
   if (samples.size() < 2) return false;
@@ -55,23 +23,18 @@ bool P2CostModel::Calibrate(
   const double a = (sy - b * sx) / n;
   if (b <= 0.0) return false;  // noise fit; keep the current parameters
   params_.ms_per_token = b;
-  // A negative intercept means the sweep's smallest batch already hides the
+  // A negative intercept means the smallest sample already hides the
   // fixed cost inside its token term; clamp at zero rather than carrying a
-  // nonsensical "negative overhead" into scheduling decisions.
+  // nonsensical "negative overhead" into the straggler threshold.
   params_.overhead_ms = std::max(0.0, a);
   return true;
 }
 
 P2CostModel::Params P2CostModel::DefaultInt8Params() {
-  // Fit from the int8_p2 sweep (BENCH_substrate.json, "cost_model_int8"):
-  // the quantized GEMMs cut the marginal token cost ~2.6x vs the fp32
-  // defaults; the per-forward fixed cost vanishes into the token term at
-  // paper shape (the OLS intercept clamps to zero).
+  // Fit from the int8_p2 sweep at paper shape (BENCH_substrate.json,
+  // "cost_model_int8"). The fp32 defaults came from the Tiny config, so
+  // the two are not a like-for-like ratio.
   return {.overhead_ms = 0.0, .ms_per_token = 0.2886};
-}
-
-int P2CostModel::ProfitableInflightBatches(int hardware_threads) {
-  return std::max(1, hardware_threads / 2);
 }
 
 }  // namespace taste::core

@@ -1,33 +1,18 @@
-// Analytic cost model of the packed P2 content-tower forward.
+// Linear wall-time model of serving work, used by the serving router
+// (serve/router.h) to decide when an outstanding replica leg is a
+// straggler worth hedging.
 //
-// The continuous-batching scheduler (pipeline/serving_scheduler.h) needs
-// two throughput judgments it cannot make from queue state alone:
+// The model prices a leg by the content tokens it carries:
 //
-//   1. how expensive the batch it is about to form will be — a packed
-//      forward blocks every request that joins it, so an interactive-lane
-//      request must not be welded onto a forward whose estimated runtime
-//      exceeds its latency tolerance (head-of-line protection); and
-//   2. how many packed forwards it is profitable to keep in flight at
-//      once — too few leaves cores idle, too many fragments the queue
-//      into single-item forwards that pay per-op dispatch overhead for
-//      nothing.
+//   ms(tokens) = overhead_ms + ms_per_token * tokens
 //
-// Both reduce to a linear model of one forward's wall time:
-//
-//   ms(batch) = overhead_ms + ms_per_token * total_content_tokens
-//
-// which matches how ForwardContentBatch actually spends time: the packed
-// projections/LN/FFN/classifier GEMMs concatenate items row-wise with NO
-// padding waste, so marginal cost is per token, while per-op dispatch,
-// panel packing, and buffer churn are per forward. The defaults are fit by
-// least squares from the committed p2_batch / p2_batch_small bench sweeps
-// (BENCH_substrate.json); bench_micro_substrate re-fits on every run and
-// emits the fresh parameters in its "cost_model" section, so drift between
-// the defaults and the current hardware is visible in review.
-//
-// The model deliberately predicts SERVING cost, not GEMM FLOPs: it is
-// calibrated on end-to-end forward timings, so cache effects and op
-// dispatch are priced in.
+// and inflates that mean estimate by a tail factor to get a p99-flavoured
+// bound. The router multiplies the bound by its hedge multiplier: a leg
+// still outstanding past it is presumed gray-failed (wedged, SIGSTOPped,
+// or drip-writing) and re-sent to the ring successor. The defaults are
+// starting points only; the router re-fits the model online by least
+// squares from its own completed legs (Calibrate), so the threshold tracks
+// the host it runs on.
 
 #ifndef TASTE_CORE_COST_MODEL_H_
 #define TASTE_CORE_COST_MODEL_H_
@@ -41,82 +26,45 @@ namespace taste::core {
 class P2CostModel {
  public:
   struct Params {
-    /// Fixed cost of one packed forward: op dispatch, B-panel packing,
-    /// activation-buffer acquisition. Paid once per batch however many
-    /// items join it.
+    /// Fixed cost per leg, independent of its size.
     double overhead_ms = 0.05;
-    /// Marginal cost per packed content token (row-concatenated GEMMs make
-    /// cost linear in tokens, not in items).
+    /// Marginal cost per content token.
     double ms_per_token = 0.012;
     /// Multiplicative tail inflation turning the mean estimate into a
     /// p99-flavoured one. Serving wall times are right-skewed (allocator
     /// churn, scheduler preemption, cold caches), but not unboundedly so:
-    /// the committed p2_serving sweeps put p99/mean under ~3x, so 4x keeps
-    /// headroom without tolerating order-of-magnitude stragglers.
+    /// 4x keeps headroom without tolerating order-of-magnitude stragglers.
     double tail_p99_factor = 4.0;
   };
 
   P2CostModel() = default;
   explicit P2CostModel(Params params) : params_(params) {}
 
-  /// Predicted wall time of one packed forward over `total_tokens` content
-  /// tokens (summed across the batch's items).
+  /// Predicted mean wall time of work over `total_tokens` content tokens.
   double EstimateBatchMs(int64_t total_tokens) const {
     return params_.overhead_ms +
            params_.ms_per_token * static_cast<double>(total_tokens);
   }
 
-  /// Pessimistic (p99-flavoured) wall-time estimate of the same forward:
-  /// the linear estimate inflated by tail_p99_factor. This is the serving
-  /// router's straggler verdict — a leg still outstanding past
-  /// EstimateP99Ms × hedge multiplier is presumed gray-failed (wedged,
-  /// SIGSTOPped, or drip-writing) and hedged to the ring successor.
+  /// Pessimistic (p99-flavoured) wall-time estimate of the same work: the
+  /// linear estimate inflated by tail_p99_factor. The router's straggler
+  /// threshold is this times its hedge multiplier.
   double EstimateP99Ms(int64_t total_tokens) const {
     return params_.tail_p99_factor * EstimateBatchMs(total_tokens);
   }
 
-  /// Predicted wall time of dispatching each item alone: every item pays
-  /// the per-forward overhead again.
-  double EstimateSequentialMs(const std::vector<int64_t>& item_tokens) const;
-
-  /// Predicted speedup of one packed forward over per-item dispatch for
-  /// this batch composition. > 1 whenever the batch has >= 2 items (the
-  /// packed path only saves overhead; it never pads).
-  double PredictedSpeedup(const std::vector<int64_t>& item_tokens) const;
-
-  /// Greedy batch sizing under a cost cap: how many queue-front items (in
-  /// order) fit so that EstimateBatchMs stays <= cap_ms. Always admits at
-  /// least one item — a request larger than the cap still has to run, just
-  /// alone. cap_ms <= 0 means uncapped (bounded by max_items only).
-  int MaxItemsUnderCap(const std::vector<int64_t>& item_tokens, double cap_ms,
-                       int max_items) const;
-
   /// Least-squares fit of (total_tokens, measured_ms) samples onto the
   /// linear model. Returns false (keeping the current parameters) when the
   /// system is degenerate: fewer than two samples, no token-count spread,
-  /// or a fit with a non-positive slope — timing noise on a sweep too
-  /// narrow to resolve the marginal cost must not poison scheduling.
+  /// or a fit with a non-positive slope — timing noise on samples too
+  /// narrow to resolve the marginal cost must not poison the threshold.
   bool Calibrate(const std::vector<std::pair<int64_t, double>>& samples);
 
-  /// Default parameters for the int8 P2 path (DESIGN.md §12): same linear
-  /// model, fit on the int8_p2 sweep of bench_micro_substrate. Per-token
-  /// cost drops roughly with the kernel speedup (the int8 GEMMs dominate a
-  /// content forward), while per-forward overhead barely moves — dispatch
-  /// and activation-quantization setup are dtype-independent. The serving
-  /// scheduler swaps these in when PipelineOptions::p2_dtype is kInt8 so
-  /// max_batch_cost_ms keeps describing wall time, not fp32-equivalents.
+  /// Default parameters for a router whose replicas run the int8 P2 path
+  /// (DESIGN.md §12), fit at paper shape from the bench's int8_p2 sweep.
+  /// Like the fp32 defaults, they only seed the threshold until the
+  /// router's online Calibrate takes over.
   static Params DefaultInt8Params();
-
-  /// The profitable number of concurrently in-flight packed forwards for a
-  /// machine with `hardware_threads`, used when
-  /// SchedulingOptions::max_inflight_batches is 0 (auto). One compute-bound
-  /// packed forward saturates roughly two hardware threads worth of GEMM
-  /// (the committed gemm sweep shows intra-op parallelism past that barely
-  /// pays), so: hardware_threads / 2, floored at 1. On a single-core box
-  /// this is 1 — exactly the configuration that maximizes coalescing,
-  /// because every request arriving during the in-flight forward must join
-  /// the next one instead of fragmenting into its own.
-  static int ProfitableInflightBatches(int hardware_threads);
 
   const Params& params() const { return params_; }
 

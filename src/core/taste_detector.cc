@@ -1,7 +1,6 @@
 #include "core/taste_detector.h"
 
 #include <cstring>
-#include <deque>
 #include <map>
 #include <utility>
 
@@ -365,8 +364,7 @@ void TasteDetector::ApplyContentProbs(const EncodedContent& content,
   }
 }
 
-Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx,
-                              P2ForwardService* service) const {
+Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx) const {
   TASTE_SPAN("detector.p2_infer");
   TASTE_CHECK(job != nullptr);
   if (!job->needs_p2) return Status::OK();
@@ -377,65 +375,6 @@ Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx,
   tensor::ScopedCancelToken cancel_scope(tensor::ExecContext::Current(),
                                          job->cancel);
   tensor::NoGradGuard no_grad;
-
-  if (service != nullptr) {
-    // Serving-scheduler path: gather ALL of the job's pending content
-    // forwards and hand them over as ONE group. A table's own chunks are
-    // the densest coalescing opportunity a few-core box ever sees —
-    // submitted together they pack into shared batched forwards instead of
-    // trickling in one at a time. Per-item results are byte-identical to
-    // the direct path; a token firing while queued, or a breaker-open
-    // fast-fail, surfaces here as that item's Status.
-    std::deque<AdtdModel::MetadataEncoding> encodings;  // pointer-stable
-    std::vector<AdtdModel::P2BatchItem> items;
-    std::vector<std::pair<const EncodedContent*, int>> origin;  // + offset
-    int offset = 0;
-    for (size_t i = 0; i < job->chunks.size(); ++i) {
-      const EncodedMetadata& chunk = job->chunks[i];
-      if (!job->contents[i].empty()) {
-        // Metadata latents: latent cache first, then the job's own copy,
-        // otherwise recompute the metadata tower (no-cache configuration).
-        AdtdModel::MetadataEncoding enc;
-        bool have = false;
-        if (options_.use_latent_cache) {
-          if (auto hit = cache_->Get(ChunkCacheKey(job->table_name, i))) {
-            enc = std::move(hit->encoding);
-            have = true;
-          } else if (i < job->encodings.size()) {
-            enc = job->encodings[i];
-            have = true;
-          }
-        }
-        if (!have) enc = model_->ForwardMetadata(chunk);
-        encodings.push_back(std::move(enc));
-        for (const EncodedContent& content : job->contents[i]) {
-          if (content.scanned.empty()) continue;
-          items.push_back({&content, &chunk, &encodings.back()});
-          origin.emplace_back(&content, offset);
-        }
-      }
-      offset += chunk.num_columns;
-    }
-    if (items.empty()) return Status::OK();
-    if (CancelledNow(job->cancel)) {
-      return job->cancel->ToStatus("P2 inference for " + job->table_name);
-    }
-    std::vector<Result<tensor::Tensor>> results =
-        service->ForwardP2Many(job->table_name, items, job->cancel, ctx);
-    TASTE_CHECK(results.size() == items.size());
-    for (size_t k = 0; k < results.size(); ++k) {
-      // First non-OK item stops the apply loop: columns already decided by
-      // earlier items keep their P2 predictions, the executor degrades the
-      // rest — the same partial-progress contract as the direct path.
-      if (!results[k].ok()) return results[k].status();
-      if (CancelledNow(job->cancel)) {
-        return job->cancel->ToStatus("P2 inference for " + job->table_name);
-      }
-      std::vector<float> probs = tensor::SigmoidValues(*results[k]);
-      ApplyContentProbs(*origin[k].first, probs, origin[k].second, job);
-    }
-    return Status::OK();
-  }
 
   int result_offset = 0;
   for (size_t i = 0; i < job->chunks.size(); ++i) {
@@ -465,9 +404,9 @@ Status TasteDetector::InferP2(Job* job, tensor::ExecContext* ctx,
         }
         tensor::Tensor logits = model_->ForwardContent(content, chunk, enc);
         if (CancelledNow(job->cancel)) {
-          // The cross-attention forward may have bailed between layers
-          // (unbatched) — and either way an expired table must not keep
-          // absorbing fresh predictions. Discard the logits.
+          // The cross-attention forward may have bailed between layers,
+          // and either way an expired table must not keep absorbing fresh
+          // predictions. Discard the logits.
           return job->cancel->ToStatus("P2 inference for " +
                                        job->table_name);
         }

@@ -67,12 +67,6 @@ Tensor AdtdModel::Embed(const std::vector<int>& ids) const {
       "sequence exceeds max_seq_len");
   std::vector<int> positions(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) positions[i] = static_cast<int>(i);
-  return EmbedWithPositions(ids, positions);
-}
-
-Tensor AdtdModel::EmbedWithPositions(const std::vector<int>& ids,
-                                     const std::vector<int>& positions) const {
-  TASTE_CHECK(ids.size() == positions.size());
   Tensor tok = token_embedding_.Forward(ids);
   Tensor pos = position_embedding_.Forward(positions);
   return embedding_norm_.Forward(tensor::Add(tok, pos));
@@ -137,97 +131,6 @@ Tensor AdtdModel::ForwardContent(
   Tensor clf_in = tensor::ConcatCols(
       tensor::ConcatCols(content_anchors, meta_anchors), feats);
   return content_classifier_.Forward(clf_in);
-}
-
-std::vector<Tensor> AdtdModel::ForwardContentBatch(
-    const std::vector<P2BatchItem>& items, tensor::ExecContext* ctx) const {
-  tensor::ScopedExecContext scope(ctx);
-  tensor::ScopedQuantRegion quant_region(tensor::ExecContext::Current());
-  TASTE_CHECK(!items.empty());
-  TASTE_CHECK_MSG(!training(), "batched P2 forward is inference-only");
-  const int64_t num_layers = encoder_.num_layers();
-
-  // Validate items and build the packed embedding input: all token
-  // sequences concatenated, positions restarting at 0 per item (each item
-  // embeds exactly as it would alone).
-  std::vector<int64_t> lens;
-  lens.reserve(items.size());
-  std::vector<int> ids;
-  std::vector<int> positions;
-  for (const P2BatchItem& item : items) {
-    TASTE_CHECK(item.content != nullptr && item.meta != nullptr &&
-                item.meta_encoding != nullptr);
-    TASTE_CHECK_MSG(!item.content->scanned.empty(),
-                    "ForwardContentBatch requires scanned columns per item");
-    TASTE_CHECK(static_cast<int64_t>(
-                    item.meta_encoding->layer_latents.size()) ==
-                num_layers + 1);
-    const auto& item_ids = item.content->token_ids;
-    TASTE_CHECK_MSG(
-        static_cast<int64_t>(item_ids.size()) <= config_.encoder.max_seq_len,
-        "sequence exceeds max_seq_len");
-    lens.push_back(static_cast<int64_t>(item_ids.size()));
-    ids.insert(ids.end(), item_ids.begin(), item_ids.end());
-    for (size_t p = 0; p < item_ids.size(); ++p) {
-      positions.push_back(static_cast<int>(p));
-    }
-  }
-  Tensor c = EmbedWithPositions(ids, positions);  // (sum(lens), H)
-
-  // Encoder layers: packed residual stream, per-item cross-attention
-  // against each item's own metadata latents and cross_mask.
-  std::vector<Tensor> kv_inputs(items.size());
-  std::vector<const Tensor*> masks(items.size());
-  for (size_t j = 0; j < items.size(); ++j) {
-    masks[j] = &items[j].content->cross_mask;
-  }
-  for (int64_t i = 0; i < num_layers; ++i) {
-    int64_t off = 0;
-    for (size_t j = 0; j < items.size(); ++j) {
-      // K = V = Encode_{i-1}^{M} (+) Encode_{i-1}^{D} for item j only.
-      kv_inputs[j] = tensor::ConcatRows(
-          {items[j].meta_encoding->layer_latents[static_cast<size_t>(i)],
-           tensor::SliceRows(c, off, off + lens[j])});
-      off += lens[j];
-    }
-    c = encoder_.block(i).ForwardPacked(c, lens, kv_inputs, masks);
-  }
-
-  // Anchor gathers and the classifier run packed: one row per scanned
-  // column across all items.
-  std::vector<int> anchors_packed;
-  std::vector<Tensor> meta_anchor_parts;
-  std::vector<Tensor> feat_parts;
-  meta_anchor_parts.reserve(items.size());
-  feat_parts.reserve(items.size());
-  {
-    int64_t off = 0;
-    for (size_t j = 0; j < items.size(); ++j) {
-      for (int a : items[j].content->column_anchors) {
-        anchors_packed.push_back(a + static_cast<int>(off));
-      }
-      meta_anchor_parts.push_back(tensor::GatherRows(
-          items[j].meta_encoding->anchor_states, items[j].content->scanned));
-      feat_parts.push_back(tensor::GatherRows(items[j].meta->features,
-                                              items[j].content->scanned));
-      off += lens[j];
-    }
-  }
-  Tensor content_anchors = tensor::GatherRows(c, anchors_packed);
-  Tensor clf_in = tensor::ConcatCols(
-      tensor::ConcatCols(content_anchors, tensor::ConcatRows(meta_anchor_parts)),
-      tensor::ConcatRows(feat_parts));
-  Tensor logits = content_classifier_.Forward(clf_in);
-
-  std::vector<Tensor> out;
-  out.reserve(items.size());
-  int64_t row = 0;
-  for (const P2BatchItem& item : items) {
-    const int64_t n = static_cast<int64_t>(item.content->scanned.size());
-    out.push_back(tensor::SliceRows(logits, row, row + n));
-    row += n;
-  }
-  return out;
 }
 
 namespace {

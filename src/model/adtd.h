@@ -83,29 +83,6 @@ class AdtdModel : public nn::Module {
                                 const MetadataEncoding& meta_encoding,
                                 tensor::ExecContext* ctx = nullptr) const;
 
-  /// One unit of a coalesced P2 forward: a content batch plus the metadata
-  /// chunk and latents it attends over. Pointees must outlive the call;
-  /// items may come from different tables.
-  struct P2BatchItem {
-    const EncodedContent* content;
-    const EncodedMetadata* meta;
-    const MetadataEncoding* meta_encoding;
-  };
-
-  /// Batched content tower: packs N independent ForwardContent calls into
-  /// one forward whose Linear/LayerNorm/FFN/classifier ops run as single
-  /// GEMMs over the row-concatenation of all items, while cross-attention
-  /// runs per item against its own metadata latents and cross_mask.
-  /// Returns one logits tensor per item, each byte-identical to what
-  /// ForwardContent(item) returns — regardless of batch composition or
-  /// order (see tensor/kernels.h: every output element accumulates in
-  /// fixed k-order from only its own row/column). Inference-only; does not
-  /// observe cancellation mid-forward (callers gate cancellation at batch
-  /// granularity — batches are small and bounded).
-  std::vector<tensor::Tensor> ForwardContentBatch(
-      const std::vector<P2BatchItem>& items,
-      tensor::ExecContext* ctx = nullptr) const;
-
   /// Automatic weighted multi-task loss over the two towers' BCE losses.
   tensor::Tensor MultiTaskLoss(const tensor::Tensor& meta_logits,
                                const tensor::Tensor& meta_targets,
@@ -145,10 +122,6 @@ class AdtdModel : public nn::Module {
  private:
   /// Token + position embedding followed by LayerNorm.
   tensor::Tensor Embed(const std::vector<int>& ids) const;
-  /// Same, with caller-provided positions (packed multi-sequence embedding
-  /// restarts positions at 0 per segment). Length checks are the caller's.
-  tensor::Tensor EmbedWithPositions(const std::vector<int>& ids,
-                                    const std::vector<int>& positions) const;
 
   AdtdConfig config_;
   nn::Embedding token_embedding_;

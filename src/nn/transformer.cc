@@ -53,64 +53,6 @@ Tensor MultiHeadAttention::Forward(const Tensor& q_input,
   return out_proj_.Forward(ctx);
 }
 
-Tensor MultiHeadAttention::ForwardPacked(
-    const Tensor& q_packed, const std::vector<int64_t>& q_lens,
-    const std::vector<Tensor>& kv_inputs,
-    const std::vector<const Tensor*>& masks, ExecContext* exec_ctx) const {
-  tensor::ScopedExecContext scope(exec_ctx);
-  const size_t n = q_lens.size();
-  TASTE_CHECK(n > 0 && kv_inputs.size() == n && masks.size() == n);
-  int64_t total_q = 0;
-  for (int64_t len : q_lens) total_q += len;
-  TASTE_CHECK_MSG(q_packed.dim(0) == total_q,
-                  "q_packed rows must equal sum of q_lens");
-
-  // One GEMM each for q/k/v across every segment. Each output row depends
-  // only on its input row, so rows match the per-segment projections bit
-  // for bit.
-  Tensor q_all = q_proj_.Forward(q_packed);  // (total_q, H)
-  std::vector<Tensor> kv_list(kv_inputs.begin(), kv_inputs.end());
-  Tensor kv_packed = tensor::ConcatRows(kv_list);
-  Tensor k_all = k_proj_.Forward(kv_packed);
-  Tensor v_all = v_proj_.Forward(kv_packed);
-
-  auto split = [this](const Tensor& x, int64_t s) {
-    return tensor::Permute3(
-        tensor::Reshape(x, {s, num_heads_, head_dim_}), {1, 0, 2});
-  };
-  const float inv_sqrt_hd = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  // Attention per segment: identical shapes and operand bytes as the
-  // unpacked Forward, so the scores/softmax/context pipeline reproduces it
-  // exactly; segments never see each other's keys.
-  std::vector<Tensor> contexts;
-  contexts.reserve(n);
-  int64_t q_off = 0;
-  int64_t kv_off = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t sq = q_lens[i];
-    const int64_t skv = kv_inputs[i].dim(0);
-    Tensor q = split(tensor::SliceRows(q_all, q_off, q_off + sq), sq);
-    Tensor k = split(tensor::SliceRows(k_all, kv_off, kv_off + skv), skv);
-    Tensor v = split(tensor::SliceRows(v_all, kv_off, kv_off + skv), skv);
-    Tensor scores = tensor::BatchedMatMul(q, tensor::TransposeLast2(k));
-    scores = tensor::Scale(scores, inv_sqrt_hd);
-    if (masks[i] != nullptr) {
-      TASTE_CHECK_MSG(masks[i]->dim(0) == sq && masks[i]->dim(1) == skv,
-                      "attention mask shape mismatch");
-      scores = tensor::AddBroadcastMat(scores, *masks[i]);
-    }
-    Tensor probs = tensor::Softmax(scores);        // (A, sq, skv)
-    Tensor ctx = tensor::BatchedMatMul(probs, v);  // (A, sq, hd)
-    contexts.push_back(
-        tensor::Reshape(tensor::Permute3(ctx, {1, 0, 2}), {sq, hidden_}));
-    q_off += sq;
-    kv_off += skv;
-  }
-  // Output projection packed again.
-  return out_proj_.Forward(tensor::ConcatRows(contexts));
-}
-
 FeedForward::FeedForward(int64_t hidden, int64_t intermediate, Rng& rng)
     : up_(hidden, intermediate, rng), down_(intermediate, hidden, rng) {
   RegisterModule("up", &up_);
@@ -159,21 +101,6 @@ Tensor TransformerBlock::Forward(const Tensor& q_input, const Tensor& kv_input,
   Tensor x = norm1_.Forward(tensor::Add(q_input, attn));
   Tensor ff = ffn_.Forward(x);
   ff = tensor::Dropout(ff, dropout_, dropout_rng_, training());
-  return norm2_.Forward(tensor::Add(x, ff));
-}
-
-Tensor TransformerBlock::ForwardPacked(const Tensor& q_packed,
-                                       const std::vector<int64_t>& q_lens,
-                                       const std::vector<Tensor>& kv_inputs,
-                                       const std::vector<const Tensor*>& masks,
-                                       ExecContext* ctx) const {
-  tensor::ScopedExecContext scope(ctx);
-  TASTE_CHECK_MSG(!training(), "packed block forward is inference-only");
-  Tensor attn = attention_.ForwardPacked(q_packed, q_lens, kv_inputs, masks);
-  // Residual + norms + FFN are all row-wise, so the packed run equals the
-  // per-segment runs row by row. Dropout is identity at inference.
-  Tensor x = norm1_.Forward(tensor::Add(q_packed, attn));
-  Tensor ff = ffn_.Forward(x);
   return norm2_.Forward(tensor::Add(x, ff));
 }
 

@@ -31,23 +31,6 @@ class MultiHeadAttention : public Module {
                  const Tensor* mask = nullptr,
                  ExecContext* ctx = nullptr) const;
 
-  /// Packed multi-segment form for inference micro-batching: `q_packed`
-  /// (sum(q_lens), H) is the row-concatenation of N independent query
-  /// segments; segment i attends only over its own `kv_inputs[i]` with
-  /// `masks[i]` (nullable, (q_lens[i], kv_inputs[i].rows)). The q/k/v/out
-  /// projections run as single packed GEMMs across all segments (this is
-  /// where batching pays on small segments); scores/softmax/context run
-  /// per segment so no cross-segment attention exists. Byte-identical per
-  /// segment to N separate Forward calls: every projection output row
-  /// depends only on its own input row (fixed-k accumulation, see
-  /// tensor/kernels.h), and the per-segment attention sees bitwise the
-  /// same operands as the unpacked call.
-  Tensor ForwardPacked(const Tensor& q_packed,
-                       const std::vector<int64_t>& q_lens,
-                       const std::vector<Tensor>& kv_inputs,
-                       const std::vector<const Tensor*>& masks,
-                       ExecContext* ctx = nullptr) const;
-
   int64_t num_heads() const { return num_heads_; }
 
   /// Prepacks the q/k/v/out projections for the int8 inference path. The
@@ -95,16 +78,6 @@ class TransformerBlock : public Module {
   /// residual stream; kv_input (skv, H) feeds keys/values.
   Tensor Forward(const Tensor& q_input, const Tensor& kv_input,
                  const Tensor* mask, ExecContext* ctx = nullptr) const;
-
-  /// Packed multi-segment form (see MultiHeadAttention::ForwardPacked).
-  /// Residual/LayerNorm/FFN are row-wise, so they run packed; attention is
-  /// per segment. Inference-only (checks !training(): dropout would
-  /// otherwise consume RNG state in a batch-composition-dependent order).
-  Tensor ForwardPacked(const Tensor& q_packed,
-                       const std::vector<int64_t>& q_lens,
-                       const std::vector<Tensor>& kv_inputs,
-                       const std::vector<const Tensor*>& masks,
-                       ExecContext* ctx = nullptr) const;
 
   /// Prepacks attention + FFN Linears for the int8 inference path.
   int64_t PrepackQuant();

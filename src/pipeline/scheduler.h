@@ -33,7 +33,6 @@
 #include "common/retry.h"
 #include "common/thread_pool.h"
 #include "core/taste_detector.h"
-#include "pipeline/serving_scheduler.h"
 
 namespace taste::pipeline {
 
@@ -95,27 +94,13 @@ struct PipelineOptions {
   const CancelToken* cancel = nullptr;
   /// Admission control / load shedding (off by default).
   AdmissionPolicy admission;
-  /// The continuous-batching serving scheduler
-  /// (pipeline/serving_scheduler.h): every P2 content forward of a
-  /// pipelined run enters one shared queue that owns deadline shedding,
-  /// breaker fast-fail, lane priority, and cost-model batch sizing.
-  /// Enabled by default — outputs are byte-identical to direct dispatch
-  /// (tests/batching_diff_test.cc), and with no window to sleep out,
-  /// coalescing costs nothing when traffic is sparse. Sequential mode
-  /// (pipelined = false) never uses the scheduler. This replaces the PR 5
-  /// batch_window_us / max_batch_items leader/follower knobs.
-  SchedulingOptions scheduling;
-  /// The priority lane this executor's P2 forwards join: interactive for
-  /// user-facing batches, bulk for backfill re-scans that must not delay
-  /// interactive batch formation.
-  Lane lane = Lane::kInteractive;
   /// Numeric mode of the P2 content tower (DESIGN.md §12). kInt8 runs the
   /// encoder/classifier Linears through the prepacked int8 kernels
   /// (requires AdtdModel::PrepackQuantWeights at load; falls back to fp32
   /// per-layer when a weight was never prepacked). P1 metadata forwards
   /// and the latent cache stay fp32 in both modes, so cache bytes are
   /// dtype-independent. Int8 outputs are deterministic (byte-identical
-  /// across runs, replicas, and batch compositions) but NOT byte-identical
+  /// across runs, replicas, and intra-op pool sizes) but NOT byte-identical
   /// to fp32 — the accuracy gate (tools/accuracy_gate.py) bounds the F1
   /// delta instead.
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;

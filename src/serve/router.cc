@@ -143,7 +143,6 @@ bool Router::SendLeg(int replica_id, std::vector<size_t> indices,
   DetectRequest req;
   req.request_id = next_request_id_++;
   req.deadline_remaining_ms = remaining_ms;
-  req.lane = static_cast<uint8_t>(env_.pipeline_options.lane);
   req.p2_dtype = static_cast<uint8_t>(env_.pipeline_options.p2_dtype);
   req.tables.reserve(indices.size());
   for (size_t i : indices) req.tables.push_back(tables[i]);

@@ -394,7 +394,6 @@ std::string EncodeDetectRequest(const DetectRequest& req) {
   WireWriter w;
   w.U64(req.request_id);
   w.F64(req.deadline_remaining_ms);
-  w.U8(req.lane);
   w.U8(req.p2_dtype);
   w.U32(static_cast<uint32_t>(req.tables.size()));
   for (const auto& t : req.tables) w.Str(t);
@@ -407,7 +406,6 @@ Result<DetectRequest> DecodeDetectRequest(const std::string& payload) {
   uint32_t n = 0;
   r.U64(&req.request_id);
   r.F64(&req.deadline_remaining_ms);
-  r.U8(&req.lane);
   r.U8(&req.p2_dtype);
   r.U32(&n);
   // Each table name costs at least its 4-byte length prefix; a count the

@@ -7,7 +7,9 @@
 //    forward allocates the same handful of shapes over and over; the pool
 //    turns those mallocs + page faults into free-list pops),
 //  * an optional intra-op ThreadPool handed to the GEMM kernels for
-//    row-partitioned parallelism,
+//    row-partitioned parallelism (byte-identical to serial kernels: a C
+//    row's bits do not depend on which task computes it, see
+//    tensor/kernels.h),
 //  * per-op timing counters (gated on Options::profile so the hooks cost
 //    nothing when off).
 //
@@ -93,8 +95,8 @@ struct ExecStats {
 
 /// Numeric path of the P2 content tower under this context. The metadata
 /// tower (P1) and the latent cache ALWAYS run fp32 — kInt8 only takes
-/// effect inside a ScopedQuantRegion, which the ADTD content forwards
-/// install — so cached latents stay byte-stable across dtype modes.
+/// effect inside a ScopedQuantRegion, which the ADTD content forward
+/// installs — so cached latents stay byte-stable across dtype modes.
 enum class P2Dtype : uint8_t {
   kFp32 = 0,
   kInt8 = 1,
@@ -225,9 +227,9 @@ class ScopedCancelToken {
 /// RAII marker for the P2 content-forward region: while alive, a context
 /// whose options request kInt8 has quant_active() == true, and prepacked
 /// Linear layers route through the int8 micro-kernel. Installed by
-/// AdtdModel::ForwardContent / ForwardContentBatch only — never by the
-/// metadata tower — so the dtype switch cannot leak into P1 or the latent
-/// cache. A null context is a no-op.
+/// AdtdModel::ForwardContent only — never by the metadata tower — so the
+/// dtype switch cannot leak into P1 or the latent cache. A null context is
+/// a no-op.
 class ScopedQuantRegion {
  public:
   explicit ScopedQuantRegion(ExecContext* ctx)

@@ -259,8 +259,8 @@ namespace {
 /// Lane masks for a [0, 8) element tail: kTailMask + 8 - n yields n active
 /// (all-ones) low lanes. Masked load/store keeps every active element on
 /// the same instruction path as full vectors, so results cannot depend on
-/// where a row's tail happens to fall — the batch-composition stability
-/// the serving byte contract needs.
+/// where a row's tail happens to fall — the row-stability that keeps
+/// outputs independent of how rows are split across intra-op tasks.
 alignas(32) constexpr int32_t kTailMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                                0,  0,  0,  0,  0,  0,  0,  0};
 

@@ -17,14 +17,15 @@
 // where the row sits inside M. The packed A panel is zero-padded to a whole
 // number of register bands so every row, at every offset, runs the exact
 // same micro-kernel instruction sequence; concatenating extra rows above or
-// below leaves existing rows bitwise unchanged. The P2 serving
-// scheduler's byte-identity guarantee rests on this row-stability (all
-// other forward ops are row-wise by construction). Parity with the naive
-// GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding
+// below leaves existing rows bitwise unchanged. Intra-op parallelism rests
+// on this row-stability: a pool splits C's rows into bands, one task per
+// band, so a row's offset inside its band (and the band's height) changes
+// with the pool size — and the output bytes must not. Parity with the
+// naive GemmAccRef is 1e-5 relative, not bitwise: the reference's rounding
 // differs by accumulation seeding (transposed variants) and by how the
 // compiler contracts mul+add to FMA in each loop shape. kernels_test
-// checks exactly this split, and batching_diff_test is the end-to-end
-// proof of the row-stability clause.
+// checks exactly this split, and batching_diff_test's executor-vs-
+// sequential runs are the end-to-end proof.
 
 #ifndef TASTE_TENSOR_KERNELS_H_
 #define TASTE_TENSOR_KERNELS_H_

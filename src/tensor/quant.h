@@ -13,15 +13,15 @@
 //      scale[r] = max_j |x[r,j]| / 127
 //    so one outlier row cannot crush the resolution of its batch mates —
 //    and, critically, a row's quantized bytes depend only on that row, which
-//    preserves the batch-composition independence the serving scheduler's
-//    byte-identity contract rests on (see tensor/kernels.h).
+//    keeps outputs independent of how an intra-op pool splits the rows
+//    (the row-stability contract of tensor/kernels.h).
 //  * ACCUMULATION is int32 and therefore EXACT: at the paper's largest
 //    depth (k = 1200) the worst-case |acc| is 1200·127² ≈ 1.94e7 ≪ 2³¹, so
 //    every kernel flavour — portable, SSE4.1, AVX2 — produces bitwise
 //    identical accumulators. The fp32 dequantization epilogue
 //    (acc · a_scale·w_scale + bias) is one shared scalar routine, so the
-//    final float bytes are identical across kernels, runs, batch
-//    compositions, and replicas. Int8 output is deterministic; it is NOT
+//    final float bytes are identical across kernels, runs, intra-op pool
+//    sizes, and replicas. Int8 output is deterministic; it is NOT
 //    fp32-identical (accuracy is tolerance-gated by tools/accuracy_gate.py).
 //
 // Packed layout: columns in blocks of kQuantNr (16); k rounded up to even

@@ -1,26 +1,22 @@
-// Differential test rig for cross-table P2 micro-batching: the batched
-// content-tower forward (AdtdModel::ForwardContentBatch, and the
-// ServingScheduler / PipelineExecutor layers above it) must be BYTE-identical
-// to the sequential per-chunk ForwardContent across randomized table mixes,
-// batch sizes, item orders (padding widths vary with each item's content
-// sequence length), and cache hit/miss interleavings. The guarantee rests
-// on the kernel determinism contract (tensor/kernels.h: every output
-// element accumulates in fixed k-order from only its own row/column) and
-// exact softmax masking (-1e9 underflows to 0 after exp) — this rig is the
-// executable proof.
+// Differential test rig for P2 content-forward byte-identity: the pipelined
+// executor (four infer workers, per-worker ExecContexts, sharded latent
+// cache) must reproduce the sequential per-table detector bit for bit, in
+// fp32 and in int8, whichever latent source (cache hit, job copy, or
+// metadata-tower recompute) a forward attends over and whatever intra-op
+// pool runs it. The guarantee rests on the kernel determinism contract
+// (tensor/kernels.h: every output element accumulates in fixed k-order
+// from only its own row/column) — this rig is the executable proof.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/fpu.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
 #include "pipeline/scheduler.h"
-#include "pipeline/serving_scheduler.h"
 
 namespace taste::core {
 namespace {
@@ -69,7 +65,9 @@ tensor::ExecContext::Options Int8CtxOptions() {
 /// One P2 work item harvested from a real detector job, plus the reference
 /// logits the sequential path produced for it.
 struct Item {
-  model::AdtdModel::P2BatchItem batch_item;
+  const model::EncodedContent* content;
+  const model::EncodedMetadata* meta;
+  const model::AdtdModel::MetadataEncoding* meta_encoding;
   tensor::Tensor want;  // sequential ForwardContent logits
 };
 
@@ -91,7 +89,9 @@ std::vector<Item> HarvestItems(
       for (const auto& content : job->contents[i]) {
         if (content.scanned.empty()) continue;
         Item it;
-        it.batch_item = {&content, &job->chunks[i], &job->encodings[i]};
+        it.content = &content;
+        it.meta = &job->chunks[i];
+        it.meta_encoding = &job->encodings[i];
         it.want = det.model().ForwardContent(content, job->chunks[i],
                                              job->encodings[i]);
         items.push_back(std::move(it));
@@ -124,189 +124,32 @@ std::vector<Item> HarvestItems(
   return ::testing::AssertionSuccess();
 }
 
-TEST(BatchingDiffTest, SingleItemBatchMatchesSequential) {
-  Env e = Env::Make(4);
-  TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
-  auto items = HarvestItems(e, det, &jobs);
-  for (const Item& it : items) {
-    auto out = det.model().ForwardContentBatch({it.batch_item});
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(BytesEqual(it.want, out[0]));
-  }
-}
-
-TEST(BatchingDiffTest, RandomizedMixesByteIdenticalAcross50Seeds) {
-  // >= 50 randomized batch compositions: random size (1..8), random item
-  // mix across tables (duplicates allowed — the same chunk may be in
-  // flight twice under retries), random order. Padding varies per draw
-  // because items have different content sequence lengths. Every item's
-  // slice must equal its sequential logits bit for bit.
-  Env e = Env::Make(6);
-  TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
-  auto items = HarvestItems(e, det, &jobs);
-  ASSERT_GE(items.size(), 4u);
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    Rng rng(seed * 7919);
-    const size_t batch_size = 1 + rng.NextU64() % 8;
-    std::vector<const Item*> picked;
-    std::vector<model::AdtdModel::P2BatchItem> batch;
-    for (size_t k = 0; k < batch_size; ++k) {
-      const Item& it = items[rng.NextU64() % items.size()];
-      picked.push_back(&it);
-      batch.push_back(it.batch_item);
-    }
-    auto out = det.model().ForwardContentBatch(batch);
-    ASSERT_EQ(out.size(), batch.size());
-    for (size_t k = 0; k < batch.size(); ++k) {
-      EXPECT_TRUE(BytesEqual(picked[k]->want, out[k]))
-          << "seed " << seed << " slot " << k;
-    }
-  }
-}
-
-TEST(BatchingDiffTest, SchedulerPathByteIdenticalAcross50Seeds) {
-  // The same 50-seed sweep, but each composition is submitted through the
-  // ServingScheduler by concurrent callers (max_inflight 1, so arrivals
-  // coalesce into shared packed forwards). Whatever batches actually form,
-  // every request's logits must equal its sequential reference bit for bit.
-  Env e = Env::Make(6);
-  TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
-  auto items = HarvestItems(e, det, &jobs);
-  ASSERT_GE(items.size(), 4u);
-
-  pipeline::ServingScheduler::Options sopt;
-  sopt.scheduling.max_items = 8;
-  sopt.scheduling.max_inflight_batches = 1;
-  pipeline::ServingScheduler sched(&det.model(), sopt);
-  int64_t total = 0;
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    Rng rng(seed * 104729);
-    const size_t n = 1 + rng.NextU64() % 6;
-    std::vector<const Item*> picked;
-    for (size_t k = 0; k < n; ++k) {
-      picked.push_back(&items[rng.NextU64() % items.size()]);
-    }
-    std::vector<std::thread> threads;
-    std::vector<int> failures(n, 0);
-    for (size_t k = 0; k < n; ++k) {
-      threads.emplace_back([&, k] {
-        const Item& it = *picked[k];
-        const pipeline::Lane lane =
-            k % 2 == 0 ? pipeline::Lane::kInteractive : pipeline::Lane::kBulk;
-        auto got = sched.Submit("tbl", *it.batch_item.content,
-                                *it.batch_item.meta,
-                                *it.batch_item.meta_encoding,
-                                /*cancel=*/nullptr, /*ctx=*/nullptr, lane);
-        if (!got.ok() || !BytesEqual(it.want, *got)) ++failures[k];
-      });
-    }
-    for (auto& th : threads) th.join();
-    for (size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(failures[k], 0) << "seed " << seed << " slot " << k;
-    }
-    total += static_cast<int64_t>(n);
-  }
-  EXPECT_EQ(sched.stats().items, total);
-  EXPECT_EQ(sched.stats().expired_in_queue, 0);
-}
-
 TEST(BatchingDiffTest, CacheHitAndMissLatentsProduceSameBytes) {
-  // The latents an item attends over may come from the latent cache (hit),
-  // the job's own copy, or a metadata-tower recompute (miss after
-  // eviction). All three hold bitwise-equal tensors, so the batched
-  // forward must not care which one is plugged in.
+  // The latents a content forward attends over may come from the latent
+  // cache (hit), the job's own copy, or a metadata-tower recompute (miss
+  // after eviction). All three hold bitwise-equal tensors, so the forward
+  // must not care which one is plugged in.
   Env e = Env::Make(3);
   TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
   auto items = HarvestItems(e, det, &jobs);
-  const Item& it = items.front();
-
-  // Recompute (cache-miss path) and cached-copy variants of the latents.
-  model::AdtdModel::MetadataEncoding recomputed =
-      det.model().ForwardMetadata(*it.batch_item.meta);
-  model::AdtdModel::P2BatchItem miss_item = it.batch_item;
-  miss_item.meta_encoding = &recomputed;
-
-  // Interleave hit- and miss-latent items in one batch.
-  auto out = det.model().ForwardContentBatch(
-      {it.batch_item, miss_item, it.batch_item});
-  ASSERT_EQ(out.size(), 3u);
-  for (const auto& logits : out) EXPECT_TRUE(BytesEqual(it.want, logits));
-}
-
-TEST(BatchingDiffTest, SchedulerCoalescedResultsMatchSequential) {
-  // Drive the continuous-batching scheduler from several threads at once
-  // across both lanes; every returned logits tensor must equal its item's
-  // sequential reference regardless of how requests coalesced.
-  Env e = Env::Make(6);
-  TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
-  auto items = HarvestItems(e, det, &jobs);
-
-  pipeline::ServingScheduler::Options sopt;
-  sopt.scheduling.max_items = 4;
-  sopt.scheduling.max_inflight_batches = 1;  // maximal coalescing
-  pipeline::ServingScheduler sched(&det.model(), sopt);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 6;
-  std::vector<std::thread> threads;
-  std::vector<int> failures(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(1000 + static_cast<uint64_t>(t));
-      const pipeline::Lane lane =
-          t % 2 == 0 ? pipeline::Lane::kInteractive : pipeline::Lane::kBulk;
-      for (int k = 0; k < kPerThread; ++k) {
-        const Item& it = items[rng.NextU64() % items.size()];
-        auto got = sched.Submit("tbl", *it.batch_item.content,
-                                *it.batch_item.meta,
-                                *it.batch_item.meta_encoding,
-                                /*cancel=*/nullptr, /*ctx=*/nullptr, lane);
-        if (!got.ok() || !BytesEqual(it.want, *got)) ++failures[t];
-      }
-    });
+  for (const Item& it : items) {
+    model::AdtdModel::MetadataEncoding recomputed =
+        det.model().ForwardMetadata(*it.meta);
+    EXPECT_TRUE(BytesEqual(
+        it.want, det.model().ForwardContent(*it.content, *it.meta,
+                                            recomputed)));
   }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
-  // Every request was served by some batch; coalescing must not lose or
-  // duplicate items (and both lanes rode the same forwards).
-  EXPECT_EQ(sched.stats().items, kThreads * kPerThread);
-  EXPECT_GE(sched.stats().batches, 1);
-  EXPECT_EQ(sched.stats().expired_in_queue, 0);
-  EXPECT_EQ(sched.stats().lane_items[0] + sched.stats().lane_items[1],
-            kThreads * kPerThread);
-}
-
-TEST(BatchingDiffTest, SchedulerHonorsExpiredToken) {
-  Env e = Env::Make(2);
-  TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
-  auto items = HarvestItems(e, det, &jobs);
-  const Item& it = items.front();
-  pipeline::ServingScheduler sched(&det.model(), {});
-  CancelToken fired(Deadline::AfterMillis(-1.0));
-  auto got = sched.Submit("tbl", *it.batch_item.content, *it.batch_item.meta,
-                          *it.batch_item.meta_encoding, &fired, nullptr);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(sched.stats().expired_in_queue, 1);
-  EXPECT_EQ(sched.stats().batches, 0);  // shed before any batch formed
 }
 
 TEST(BatchingDiffTest, ExecutorWithBatchingByteIdenticalToSequential) {
-  // End to end: the pipelined executor with the serving scheduler armed
-  // must produce bit-for-bit the probabilities of direct sequential
-  // detection, whatever batches its four infer workers happened to form.
+  // End to end: the pipelined executor, running a batch of tables on four
+  // infer workers, must produce bit-for-bit the probabilities of direct
+  // sequential detection, however the tables interleaved.
   Env e = Env::Make(8);
   TasteDetector det(e.model.get(), e.tokenizer.get(), {.cache_shards = 4});
   pipeline::PipelineOptions popt;
   popt.infer_threads = 4;
-  popt.scheduling.enabled = true;
-  popt.scheduling.max_items = 8;
-  popt.scheduling.max_inflight_batches = 1;
   pipeline::PipelineExecutor exec(&det, e.db.get(), popt);
   auto got = exec.Run(e.table_names);
   ASSERT_TRUE(got.ok());
@@ -330,76 +173,39 @@ TEST(BatchingDiffTest, ExecutorWithBatchingByteIdenticalToSequential) {
 
 // ---------------------------------------------------------------------------
 // Int8 determinism (DESIGN.md §12). The int8 path's contract is weaker
-// than fp32-identity but just as hard: the SAME bytes across runs, batch
-// compositions, and replicas — never the fp32 bytes (accuracy vs fp32 is
+// than fp32-identity but just as hard: the SAME bytes across runs, intra-op
+// pools, and replicas — never the fp32 bytes (accuracy vs fp32 is
 // tolerance-gated by tools/accuracy_gate.py, not byte-compared).
 
-TEST(BatchingDiffTest, Int8BatchByteIdenticalToInt8SoloAcross50Seeds) {
-  Env e = Env::Make(6, /*prepack=*/true);
-  TasteDetector det(e.model.get(), e.tokenizer.get(), {});
-  std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
-  auto items = HarvestItems(e, det, &jobs);
-  ASSERT_GE(items.size(), 4u);
-
-  // Int8 solo references, plus proof the quantized tower actually ran:
-  // logits must differ from the fp32 references somewhere.
-  tensor::ExecContext int8_ctx(Int8CtxOptions());
-  std::vector<tensor::Tensor> int8_want;
-  bool any_diff_from_fp32 = false;
-  for (const Item& it : items) {
-    int8_want.push_back(det.model().ForwardContent(
-        *it.batch_item.content, *it.batch_item.meta,
-        *it.batch_item.meta_encoding, &int8_ctx));
-    if (!BytesEqual(it.want, int8_want.back())) any_diff_from_fp32 = true;
-  }
-  EXPECT_TRUE(any_diff_from_fp32)
-      << "int8 context produced fp32 bytes everywhere — gate inactive?";
-
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    Rng rng(seed * 7919);
-    const size_t batch_size = 1 + rng.NextU64() % 8;
-    std::vector<size_t> picked;
-    std::vector<model::AdtdModel::P2BatchItem> batch;
-    for (size_t k = 0; k < batch_size; ++k) {
-      const size_t idx = rng.NextU64() % items.size();
-      picked.push_back(idx);
-      batch.push_back(items[idx].batch_item);
-    }
-    auto out = det.model().ForwardContentBatch(batch, &int8_ctx);
-    ASSERT_EQ(out.size(), batch.size());
-    for (size_t k = 0; k < batch.size(); ++k) {
-      EXPECT_TRUE(BytesEqual(int8_want[picked[k]], out[k]))
-          << "seed " << seed << " slot " << k;
-    }
-  }
-}
-
 TEST(BatchingDiffTest, Int8RunToRunBytesStableAcrossContexts) {
-  // Replica byte-agreement proxy: two independent int8 contexts (fresh
-  // buffer pools, as two forked replicas would have) produce the same
-  // bytes for the same items, batched or solo, with or without an
-  // intra-op pool.
+  // Replica byte-agreement proxy: independent int8 contexts (fresh buffer
+  // pools, as two forked replicas would have) produce the same bytes for
+  // the same items, with or without an intra-op pool — and the quantized
+  // tower actually ran (the bytes differ from fp32 somewhere).
   Env e = Env::Make(4, /*prepack=*/true);
   TasteDetector det(e.model.get(), e.tokenizer.get(), {});
   std::vector<std::unique_ptr<TasteDetector::Job>> jobs;
   auto items = HarvestItems(e, det, &jobs);
 
-  std::vector<model::AdtdModel::P2BatchItem> batch;
-  for (const Item& it : items) batch.push_back(it.batch_item);
-
   tensor::ExecContext ctx_a(Int8CtxOptions());
-  auto run_a = det.model().ForwardContentBatch(batch, &ctx_a);
   tensor::ExecContext ctx_b(Int8CtxOptions());
-  auto run_b = det.model().ForwardContentBatch(batch, &ctx_b);
   auto opts_pool = Int8CtxOptions();
   opts_pool.intra_op_threads = 2;
   tensor::ExecContext ctx_c(opts_pool);
-  auto run_c = det.model().ForwardContentBatch(batch, &ctx_c);
-  ASSERT_EQ(run_a.size(), batch.size());
-  for (size_t k = 0; k < batch.size(); ++k) {
-    EXPECT_TRUE(BytesEqual(run_a[k], run_b[k])) << "slot " << k;
-    EXPECT_TRUE(BytesEqual(run_a[k], run_c[k])) << "pooled slot " << k;
+  bool any_diff_from_fp32 = false;
+  for (size_t k = 0; k < items.size(); ++k) {
+    const Item& it = items[k];
+    auto forward = [&](tensor::ExecContext* ctx) {
+      return det.model().ForwardContent(*it.content, *it.meta,
+                                        *it.meta_encoding, ctx);
+    };
+    tensor::Tensor run_a = forward(&ctx_a);
+    EXPECT_TRUE(BytesEqual(run_a, forward(&ctx_b))) << "item " << k;
+    EXPECT_TRUE(BytesEqual(run_a, forward(&ctx_c))) << "pooled item " << k;
+    if (!BytesEqual(it.want, run_a)) any_diff_from_fp32 = true;
   }
+  EXPECT_TRUE(any_diff_from_fp32)
+      << "int8 context produced fp32 bytes everywhere — gate inactive?";
 }
 
 TEST(BatchingDiffTest, Int8P1AndCacheBytesAreDtypeIndependent) {
@@ -414,10 +220,10 @@ TEST(BatchingDiffTest, Int8P1AndCacheBytesAreDtypeIndependent) {
   const Item& it = items.front();
 
   model::AdtdModel::MetadataEncoding fp32_enc =
-      det.model().ForwardMetadata(*it.batch_item.meta);
+      det.model().ForwardMetadata(*it.meta);
   tensor::ExecContext int8_ctx(Int8CtxOptions());
   model::AdtdModel::MetadataEncoding int8_enc =
-      det.model().ForwardMetadata(*it.batch_item.meta, &int8_ctx);
+      det.model().ForwardMetadata(*it.meta, &int8_ctx);
   ASSERT_EQ(fp32_enc.layer_latents.size(), int8_enc.layer_latents.size());
   for (size_t l = 0; l < fp32_enc.layer_latents.size(); ++l) {
     EXPECT_TRUE(BytesEqual(fp32_enc.layer_latents[l],
@@ -438,9 +244,6 @@ TEST(BatchingDiffTest, Int8ExecutorByteIdenticalToInt8Sequential) {
   pipeline::PipelineOptions popt;
   popt.infer_threads = 3;
   popt.p2_dtype = tensor::P2Dtype::kInt8;
-  popt.scheduling.enabled = true;
-  popt.scheduling.max_items = 8;
-  popt.scheduling.max_inflight_batches = 1;
   pipeline::PipelineExecutor exec(&det, e.db.get(), popt);
   auto got = exec.Run(e.table_names);
   ASSERT_TRUE(got.ok());

@@ -145,6 +145,7 @@ TEST(GeneratorValueTest, ValuesFromDifferentGroupMembersDiffer) {
   int cc = *Reg().IdByName("credit_card");
   std::regex cc_re(R"(\d{4} \d{4} \d{4} \d{4})");
   for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(std::regex_match(Reg().GenerateValue(cc, rng), cc_re));
     EXPECT_FALSE(std::regex_match(Reg().GenerateValue(phone, rng), cc_re));
   }
 }

@@ -170,7 +170,7 @@ TEST(KernelsTest, GeluRowsTailMatchesFullVector) {
 
 TEST(KernelsTest, SoftmaxRowsWidthIndependentOfRowCount) {
   // A row's softmax must depend only on that row's bytes, not on how many
-  // rows share the call — the batch-composition byte contract.
+  // rows share the call — the row-stability byte contract.
   std::vector<float> x = {0.3f, -1.2f, 2.5f, 0.0f, 1.7f, -0.4f, 0.9f,
                           4.1f, -2.2f, 0.6f, 1.1f, -0.7f, 3.3f};
   const int64_t h = static_cast<int64_t>(x.size());

@@ -17,9 +17,12 @@ struct Env {
   std::unique_ptr<clouddb::SimulatedDatabase> db;
   std::vector<std::string> table_names;
 
-  static Env Make(int tables, double time_scale) {
+  /// `seed` != 0 varies both the generated tables and the model weights.
+  static Env Make(int tables, double time_scale, uint64_t seed = 0) {
     Env e;
-    e.dataset = data::GenerateDataset(data::DatasetProfile::WikiLike(tables));
+    data::DatasetProfile profile = data::DatasetProfile::WikiLike(tables);
+    if (seed != 0) profile.seed = seed;
+    e.dataset = data::GenerateDataset(profile);
     text::WordPieceTrainer trainer({.vocab_size = 400});
     for (const auto& d : data::BuildCorpusDocuments(e.dataset)) {
       trainer.AddDocument(d);
@@ -28,7 +31,7 @@ struct Env {
     model::AdtdConfig cfg = model::AdtdConfig::Tiny(
         e.tokenizer->vocab().size(),
         data::SemanticTypeRegistry::Default().size());
-    Rng rng(11);
+    Rng rng(seed != 0 ? seed : 11);
     e.model = std::make_unique<model::AdtdModel>(cfg, rng);
     clouddb::CostModel cost;
     cost.time_scale = time_scale;
@@ -176,6 +179,68 @@ TEST(PipelineTest, LedgerCountsIndependentOfExecutionMode) {
   EXPECT_EQ(seq_snap.scanned_columns, pip_snap.scanned_columns);
   EXPECT_EQ(seq_snap.metadata_columns, pip_snap.metadata_columns);
 }
+
+// Metadata-first invariant on the executor path, over seeded tables,
+// weights and α/β (fault-free): the I/O ledger, the per-table scan counts
+// and the per-column provenance must all tell the same story. A column P1
+// decided (no probability strictly inside (α, β)) is never scanned, and
+// α = β leaves nothing uncertain, so nothing is scanned. The untrained Tiny
+// model's sigmoids cluster just around 0.5, so the narrow windows below are
+// the ones that split each table into P1-decided and scanned columns.
+struct LedgerCase {
+  uint64_t seed;
+  double alpha;
+  double beta;
+};
+
+void PrintTo(const LedgerCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << " alpha " << c.alpha << " beta " << c.beta;
+}
+
+class LedgerPropertyTest : public ::testing::TestWithParam<LedgerCase> {};
+
+TEST_P(LedgerPropertyTest, ScansMatchProvenance) {
+  const LedgerCase p = GetParam();
+  Env e = Env::Make(6, 0.0, p.seed);
+  core::TasteOptions topt;
+  topt.alpha = p.alpha;
+  topt.beta = p.beta;
+  core::TasteDetector det(e.model.get(), e.tokenizer.get(), topt);
+  PipelineOptions popt;
+  popt.infer_threads = 1 + static_cast<int>(p.seed % 4);
+  PipelineExecutor exec(&det, e.db.get(), popt);
+  const int64_t before = e.db->ledger().snapshot().scanned_columns;
+  BatchResult batch = exec.RunBatch(e.table_names);
+  const int64_t scanned = e.db->ledger().snapshot().scanned_columns - before;
+
+  int64_t sum_scanned = 0;
+  for (const TableRunResult& t : batch.tables) {
+    ASSERT_TRUE(t.status.ok()) << t.status.ToString();
+    int went_to_p2 = 0;
+    for (const auto& col : t.result.columns) {
+      went_to_p2 += col.went_to_p2;
+      if (col.went_to_p2) continue;
+      for (float prob : col.probabilities) {
+        EXPECT_FALSE(prob > p.alpha && prob < p.beta)
+            << t.result.table_name << "." << col.column_name
+            << " was uncertain in P1 but never scanned";
+      }
+    }
+    EXPECT_EQ(t.result.columns_scanned, went_to_p2) << t.result.table_name;
+    sum_scanned += t.result.columns_scanned;
+  }
+  EXPECT_EQ(scanned, sum_scanned);
+  if (p.alpha == p.beta) {
+    EXPECT_EQ(scanned, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndThresholds, LedgerPropertyTest,
+    ::testing::Values(LedgerCase{1, 0.1, 0.9}, LedgerCase{1, 0.512, 0.52},
+                      LedgerCase{2, 0.508, 0.515}, LedgerCase{3, 0.49, 0.495},
+                      LedgerCase{4, 0.508, 0.515}, LedgerCase{2, 0.5, 0.5},
+                      LedgerCase{3, 0.9, 0.9}, LedgerCase{4, 0.2, 0.2}));
 
 }  // namespace
 }  // namespace taste::pipeline

@@ -10,8 +10,8 @@
 //   * every compiled kernel flavour (portable / SSE4.1 / AVX2) produces
 //     BYTE-identical fp32 outputs — the serving tier's int8 determinism
 //     rests on this, so it is fuzzed across 50 seeds of random shapes;
-//   * outputs are independent of batch composition and of the intra-op
-//     pool, byte for byte, like the fp32 kernels (tests/kernels_test.cc);
+//   * outputs are independent of the row count and of the intra-op pool,
+//     byte for byte, like the fp32 kernels (tests/kernels_test.cc);
 //   * the nn::Linear gate only takes the int8 path inside an int8
 //     ExecContext quant region with gradients off.
 
@@ -214,10 +214,10 @@ TEST(QuantGemmTest, KernelFlavoursByteIdenticalAcross50Seeds) {
   }
 }
 
-// Row-stability + pool independence: row r of a batched forward is byte
+// Row-stability + pool independence: row r of a multi-row forward is byte
 // identical to a single-row forward of the same row, with or without an
-// intra-op pool. This is what lets int8 ride the serving scheduler's
-// arbitrary coalescing without breaking replica byte-agreement.
+// intra-op pool. This is what keeps int8 bytes independent of how an
+// intra-op pool splits the rows, so replicas agree byte for byte.
 TEST(QuantGemmTest, BatchCompositionAndPoolIndependence) {
   Rng rng(31);
   const int64_t m = 9, k = 312, n = 64;

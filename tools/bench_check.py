@@ -9,13 +9,10 @@ and exits non-zero when either
     threshold (default 25%), or
   * either end-to-end wall time (sequential or pipelined) grew by more
     than the threshold, or
-  * a P2 micro-batching row's batched_ms grew by more than the threshold
-    against the same batch size in the baseline, or
-  * the batched-serving run (p2_serving) slowed down by more than the
-    threshold against baseline, or its batching-on speedup fell below the
-    hardware-aware floor (1.5x with >=4 hardware threads, 0.95x on a
-    single-core runner), or the scheduler's packed-forward median
-    (taste_p2_batch_size p50) fell below 2 over a >=8-table serving run, or
+  * the wide-table serving run (p2_serving) slowed down by more than the
+    threshold against baseline, or its pipelined-over-sequential speedup
+    fell below the hardware-aware floor (1.5x with >=4 hardware threads,
+    0.95x below that), or
   * an int8_p2 row's int8_ms grew by more than the threshold, or the
     fp32->int8 speedup fell below the 2.5x floor while a SIMD kernel was
     compiled in (3x is the advisory paper target), or
@@ -104,30 +101,6 @@ def check_end_to_end(baseline, fresh, threshold, failures):
                 f"({b:.1f} -> {c:.1f} ms, threshold {threshold:.0%})")
 
 
-def check_p2_batching(baseline, fresh, threshold, failures):
-    # Packed-batch sweeps: compare batched_ms row by row (same batch size).
-    # Speedup ratios are too noisy to gate directly on a shared runner; the
-    # absolute batched time against baseline is the stable signal.
-    for section in ("p2_batch", "p2_batch_small"):
-        base_rows = {r["batch_size"]: r for r in baseline.get(section, [])}
-        fresh_rows = {r["batch_size"]: r for r in fresh.get(section, [])}
-        if base_rows and not fresh_rows:
-            failures.append(f"{section} section missing from fresh run")
-            continue
-        for bsize, base in sorted(base_rows.items()):
-            cur = fresh_rows.get(bsize)
-            if cur is None or base["batched_ms"] <= 0:
-                continue
-            growth = (cur["batched_ms"] - base["batched_ms"]) / base["batched_ms"]
-            verdict = "FAIL" if growth > threshold else "ok"
-            print(f"  {section}/B={bsize:<3} batched {base['batched_ms']:8.3f}"
-                  f" -> {cur['batched_ms']:8.3f} ms ({growth:+6.1%}) {verdict}")
-            if growth > threshold:
-                failures.append(
-                    f"{section} B={bsize}: batched forward regressed "
-                    f"{growth:.1%} (threshold {threshold:.0%})")
-
-
 def check_p2_serving(baseline, fresh, threshold, failures):
     base = baseline.get("p2_serving", {})
     cur = fresh.get("p2_serving", {})
@@ -136,25 +109,21 @@ def check_p2_serving(baseline, fresh, threshold, failures):
         return
     if not cur:
         return
-    b, c = base.get("batching_on_wall_ms", 0), cur.get("batching_on_wall_ms", 0)
+    b, c = base.get("pipelined_wall_ms", 0), cur.get("pipelined_wall_ms", 0)
     if b > 0 and c > 0:
         growth = (c - b) / b
         verdict = "FAIL" if growth > threshold else "ok"
-        print(f"  p2_serving/batching_on    {b:8.1f} -> {c:8.1f} ms "
+        print(f"  p2_serving/pipelined      {b:8.1f} -> {c:8.1f} ms "
               f"({growth:+6.1%}) {verdict}")
         if growth > threshold:
             failures.append(
-                f"p2_serving: batched-serving wall regressed {growth:.1%} "
+                f"p2_serving: pipelined serving wall regressed {growth:.1%} "
                 f"({b:.1f} -> {c:.1f} ms, threshold {threshold:.0%})")
-    # Absolute floor, baseline-independent and hardware-aware. The
-    # continuous scheduler never sleeps, so unlike the retired windowed
-    # batcher it has no excuse for losing to the unbatched path: on real
-    # serving hardware (>=4 threads) coalescing must be a clear win
-    # (>=1.5x); on a single-core runner, where batching buys amortization
-    # but no parallelism, it must at worst be a wash (>=0.95x). The old
-    # 0.70x floor only caught a batcher idling out full windows — that
-    # failure mode no longer exists, and tolerating a 30% loss would hide
-    # a scheduler serializing its followers.
+    # Absolute floor, baseline-independent and hardware-aware: the ratio of
+    # two runs in the same process on the same host. With >=4 hardware
+    # threads, four infer workers running tables side by side must clearly
+    # beat the sequential path (>=1.5x); below that there is no parallelism
+    # to buy, so the pipelined executor must at worst be a wash (>=0.95x).
     hw = fresh.get("hardware_threads", 1)
     floor = 1.5 if hw >= 4 else 0.95
     speedup = cur.get("speedup", 0)
@@ -163,9 +132,9 @@ def check_p2_serving(baseline, fresh, threshold, failures):
           f"({verdict}, floor {floor:.2f}x at {hw} hardware threads)")
     if speedup < floor:
         failures.append(
-            f"p2_serving: batching-on speedup {speedup:.2f}x below the "
-            f"{floor:.2f}x floor ({hw} hardware threads) — scheduler "
-            f"coalescing is losing to the unbatched path")
+            f"p2_serving: pipelined speedup {speedup:.2f}x below the "
+            f"{floor:.2f}x floor ({hw} hardware threads) — the infer "
+            f"workers are not running tables in parallel")
 
 
 def check_int8_p2(baseline, fresh, threshold, failures):
@@ -214,33 +183,6 @@ def check_int8_p2(baseline, fresh, threshold, failures):
             f"{floor:.2f}x floor with the {kernel} kernel compiled in")
 
 
-def check_sched_coalescing(fresh, failures):
-    # The scheduler's reason to exist is packed forwards. With group
-    # submission, any serving run over >=8 tables must show a median
-    # packed-forward size of at least 2 in taste_p2_batch_size — a p50
-    # stuck at 1 means every request is leading its own batch and the
-    # queue never coalesces (the one-at-a-time-submission failure mode).
-    tables = fresh.get("p2_serving", {}).get("tables",
-                                             fresh.get("end_to_end", {})
-                                             .get("tables", 0))
-    h = fresh.get("metrics", {}).get("histograms", {}).get(
-        "taste_p2_batch_size")
-    if h is None:
-        failures.append("metrics carry no taste_p2_batch_size histogram")
-        return
-    if tables < 8:
-        print(f"  sched/batch_size_p50      skipped ({tables} tables < 8)")
-        return
-    p50 = h.get("p50", 0)
-    verdict = "FAIL" if p50 < 2 else "ok"
-    print(f"  sched/batch_size_p50      {p50:.2f} ({verdict}, floor 2.00 "
-          f"at {tables} tables, {h.get('count', 0)} batches)")
-    if p50 < 2:
-        failures.append(
-            f"sched: taste_p2_batch_size p50 {p50:.2f} below 2 over "
-            f"{tables} tables — packed forwards are not coalescing")
-
-
 def check_p2_serving_mp(baseline, fresh, threshold, failures):
     base = baseline.get("p2_serving_mp", {})
     cur = fresh.get("p2_serving_mp", {})
@@ -267,9 +209,8 @@ def check_p2_serving_mp(baseline, fresh, threshold, failures):
     # Scaling floor, baseline-independent. Scattering a batch across worker
     # PROCESSES needs cores to scale: with >=4 hardware threads going 1->4
     # replicas must buy at least 1.5x throughput. On a starved runner the
-    # requirement degrades to a no-collapse floor (mirroring p2_serving's
-    # 0.70x): fork + wire + gather overhead must never eat 30% of the
-    # single-replica wall.
+    # requirement degrades to a 0.70x no-collapse floor: fork + wire +
+    # gather overhead must never eat 30% of the single-replica wall.
     hw = fresh.get("hardware_threads", 1)
     floor = 1.5 if hw >= 4 else 0.70
     scaling = cur.get("scaling_1_to_4", 0)
@@ -405,8 +346,9 @@ def check_metrics_section(fresh, failures):
     for name, h in sorted(stage_hists.items()):
         # Eight full-table runs feed the shared registry before the
         # snapshot: sequential + pipelined end-to-end, then two serving
-        # configs (batching off/on) at three repetitions each. P2 stages
-        # can be skipped per table, so the count is bounded, not exact.
+        # configs (sequential/pipelined) at three repetitions each. P2
+        # stages can be skipped per table, so the count is bounded, not
+        # exact.
         if not 0 < h.get("count", 0) <= 8 * tables:
             failures.append(
                 f"{name}: implausible observation count {h.get('count')} "
@@ -434,11 +376,9 @@ def main():
           f"threshold={args.threshold:.0%}")
     check_gemm(baseline, fresh, args.threshold, failures)
     check_end_to_end(baseline, fresh, args.threshold, failures)
-    check_p2_batching(baseline, fresh, args.threshold, failures)
     check_p2_serving(baseline, fresh, args.threshold, failures)
     check_int8_p2(baseline, fresh, args.threshold, failures)
     check_p2_serving_mp(baseline, fresh, args.threshold, failures)
-    check_sched_coalescing(fresh, failures)
     check_metrics_section(fresh, failures)
 
     if failures:

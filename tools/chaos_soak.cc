@@ -28,19 +28,12 @@
 // interleaving.
 //
 // --cache-churn additionally squeezes the latent cache to a handful of
-// entries (eviction storms on every P2 chunk), shards it randomly, and
-// randomizes the continuous-batching scheduler's knobs. WHICH requests
-// coalesce into a batch is timing-dependent — but the batched forward is
-// byte-identical per item (see tensor/kernels.h row-stability), so the
-// replay digest must STILL match bit for bit. A digest mismatch in this
-// mode means the batch-composition-independence guarantee broke.
-//
-// --sched-storm drives the ServingScheduler DIRECTLY with bursty
-// mixed-lane arrivals, pre-expired deadline tokens, and tripped circuit
-// breakers, and asserts (a) every served request's logits are
-// byte-identical to its solo sequential forward, (b) exact terminal
-// accounting — served + shed + fast-failed == submitted, and (c) the
-// outcome digest replays bit for bit.
+// entries (eviction storms on every P2 chunk) and shards it randomly, with
+// 2-4 infer workers racing on the shards. Which worker hits or misses is
+// timing-dependent — but a recomputed latent is byte-identical to a cached
+// one, so the replay digest must STILL match bit for bit. A digest
+// mismatch in this mode means detection output started depending on cache
+// state.
 //
 // --cache-plane-storm drives the cross-replica cache plane (DESIGN.md §14)
 // through kill/respawn mid-warm-up with byte-flip corruption aimed at cache
@@ -56,7 +49,6 @@
 //   chaos_soak --replica-kill kill/respawn chaos (fail-stop failures)
 //   chaos_soak --gray-storm   gray-failure chaos: SIGSTOP wedges, byte-flip
 //                             corruption, slow-drip partial writes
-//   chaos_soak --sched-storm  serving-scheduler storm (see above)
 //   chaos_soak --cache-plane-storm
 //                             cache-plane chaos (see above)
 //
@@ -69,7 +61,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -85,7 +76,6 @@
 #include "model/adtd.h"
 #include "obs/metrics.h"
 #include "pipeline/scheduler.h"
-#include "pipeline/serving_scheduler.h"
 #include "serve/router.h"
 #include "text/wordpiece.h"
 
@@ -209,17 +199,13 @@ Scenario MakeScenario(uint64_t seed, const Env& env, bool cache_churn) {
   }
   if (cache_churn) {
     // Eviction storms: a cache of 1-4 entries across 1-8 shards churns on
-    // every P2 chunk, and the continuous-batching scheduler coalesces
-    // concurrent forwards. Batch composition is timing-dependent; the
-    // digest must not be.
+    // every P2 chunk while 2-4 infer workers race on it. Hit/miss order is
+    // timing-dependent; the digest must not be.
     topt.enable_p2 = true;  // churn needs P2 traffic
     topt.cache_capacity = static_cast<size_t>(rng.Range(1, 4));
     topt.cache_shards = rng.Range(1, 8);
     popt.pipelined = true;
     popt.infer_threads = rng.Range(2, 4);
-    popt.scheduling.enabled = true;
-    popt.scheduling.max_items = rng.Range(2, 8);
-    popt.scheduling.max_inflight_batches = rng.Range(1, 2);
   }
   return sc;
 }
@@ -1311,211 +1297,6 @@ int RunCachePlaneStorm(const Env& env, int seeds, uint64_t start_seed,
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// --sched-storm: bursty mixed-lane storm against the continuous-batching
-// serving scheduler (pipeline/serving_scheduler.h).
-//
-// Each seed derives a storm: 2-4 submitter threads, each firing 4-10 P2
-// requests drawn from a harvested item pool, with a per-request lane
-// (interactive/bulk), a ~15% chance of carrying a pre-expired CancelToken,
-// and a ~15% chance of targeting a table whose circuit breaker was tripped
-// open before the storm. Scheduler knobs (max_items, in-flight cap, cost
-// cap) are randomized per seed. WHICH requests coalesce is timing-
-// dependent; every per-request OUTCOME is not:
-//
-//   * a served request's logits must equal its solo sequential forward
-//     byte for byte, whatever batch it rode;
-//   * a pre-expired request must shed with kDeadlineExceeded before any
-//     batch forms;
-//   * a tripped-table request must fast-fail with kUnavailable;
-//   * terminal accounting is exact: served + shed + fast-failed equals
-//     the number submitted, and lane tallies sum to the served count;
-//   * the outcome digest replays bit for bit.
-
-struct StormItem {
-  model::AdtdModel::P2BatchItem item;
-  tensor::Tensor want;  // solo sequential ForwardContent logits
-};
-
-int RunSchedStorm(const Env& env, int seeds, uint64_t start_seed,
-                  bool verbose) {
-  obs::SetMetricsEnabled(true);
-  // Harvest real P2 work items once (read-only across all storms), with
-  // their sequential reference logits.
-  clouddb::CostModel cost;
-  cost.time_scale = 0.0;
-  clouddb::SimulatedDatabase db(cost);
-  TASTE_CHECK(db.IngestDataset(env.dataset).ok());
-  core::TasteDetector det(env.model.get(), env.tokenizer.get(), {});
-  std::vector<std::unique_ptr<core::TasteDetector::Job>> jobs;
-  std::vector<StormItem> items;
-  {
-    auto conn = db.Connect();
-    for (const auto& name : env.table_names) {
-      auto job = std::make_unique<core::TasteDetector::Job>();
-      TASTE_CHECK(det.PrepareP1(conn.get(), name, job.get()).ok());
-      TASTE_CHECK(det.InferP1(job.get()).ok());
-      TASTE_CHECK(det.PrepareP2(conn.get(), job.get()).ok());
-      for (size_t i = 0; i < job->chunks.size(); ++i) {
-        for (const auto& content : job->contents[i]) {
-          if (content.scanned.empty()) continue;
-          StormItem it;
-          it.item = {&content, &job->chunks[i], &job->encodings[i]};
-          it.want = det.model().ForwardContent(content, job->chunks[i],
-                                               job->encodings[i]);
-          items.push_back(std::move(it));
-        }
-      }
-      jobs.push_back(std::move(job));
-      if (items.size() >= 24) break;
-    }
-  }
-  TASTE_CHECK(!items.empty());
-
-  int failures = 0;
-  for (int k = 0; k < seeds; ++k) {
-    const uint64_t seed = start_seed + static_cast<uint64_t>(k);
-    std::vector<std::string> violations;
-    auto violate = [&](const std::string& what) {
-      violations.push_back("seed " + std::to_string(seed) + ": " + what);
-    };
-
-    auto run_once = [&](std::string* digest) {
-      SplitMix64 rng(seed * 0xD6E8FEB86659FD93ull + 0x51ull);
-      const int threads = rng.Range(2, 4);
-      const int per_thread = rng.Range(4, 10);
-
-      // One synthetic down table with its breaker tripped open before the
-      // storm; requests routed at it must fast-fail without queueing.
-      BreakerRegistry breakers(
-          {.failure_threshold = 2, .open_cooldown_rejections = 1 << 30});
-      CircuitBreaker* down = breakers.Get("storm_down_table");
-      down->RecordFailure();
-      down->RecordFailure();
-      TASTE_CHECK(down->state() == CircuitBreaker::State::kOpen);
-
-      pipeline::ServingScheduler::Options sopt;
-      sopt.scheduling.max_items = rng.Range(2, 8);
-      sopt.scheduling.max_inflight_batches = rng.Range(1, 2);
-      sopt.scheduling.max_batch_cost_ms = rng.Unit() < 0.5 ? 1.0 : 0.0;
-      sopt.scheduling.breaker_fast_fail = true;
-      sopt.breakers = &breakers;
-      pipeline::ServingScheduler sched(env.model.get(), sopt);
-
-      // Pre-draw every request (deterministic plan; threads only execute).
-      struct Req {
-        int item;
-        pipeline::Lane lane;
-        int kind;  // 0 = normal, 1 = pre-expired token, 2 = tripped table
-      };
-      const int total = threads * per_thread;
-      std::vector<Req> reqs;
-      int expect[3] = {0, 0, 0};
-      for (int r = 0; r < total; ++r) {
-        Req q;
-        q.item = static_cast<int>(rng.Next() % items.size());
-        q.lane = rng.Unit() < 0.5 ? pipeline::Lane::kInteractive
-                                  : pipeline::Lane::kBulk;
-        const double u = rng.Unit();
-        q.kind = u < 0.15 ? 1 : (u < 0.30 ? 2 : 0);
-        ++expect[q.kind];
-        reqs.push_back(q);
-      }
-
-      CancelToken fired(Deadline::AfterMillis(-1.0));
-      std::vector<char> outcome(static_cast<size_t>(total), '?');
-      std::vector<std::thread> workers;
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          for (int j = 0; j < per_thread; ++j) {
-            const int idx = t * per_thread + j;
-            const Req& q = reqs[static_cast<size_t>(idx)];
-            const StormItem& it = items[static_cast<size_t>(q.item)];
-            auto got = sched.Submit(
-                q.kind == 2 ? "storm_down_table" : "storm_table",
-                *it.item.content, *it.item.meta, *it.item.meta_encoding,
-                q.kind == 1 ? &fired : nullptr, /*ctx=*/nullptr, q.lane);
-            char& o = outcome[static_cast<size_t>(idx)];
-            switch (q.kind) {
-              case 1:
-                o = !got.ok() &&
-                            got.status().code() == StatusCode::kDeadlineExceeded
-                        ? 'E'
-                        : '?';
-                break;
-              case 2:
-                o = !got.ok() &&
-                            got.status().code() == StatusCode::kUnavailable
-                        ? 'F'
-                        : '?';
-                break;
-              default:
-                o = got.ok() && got->dim(0) == it.want.dim(0) &&
-                            got->dim(1) == it.want.dim(1) &&
-                            std::memcmp(
-                                got->data(), it.want.data(),
-                                static_cast<size_t>(it.want.numel()) *
-                                    sizeof(float)) == 0
-                        ? 'S'
-                        : '?';
-            }
-          }
-        });
-      }
-      for (auto& w : workers) w.join();
-
-      for (int r = 0; r < total; ++r) {
-        if (outcome[static_cast<size_t>(r)] == '?') {
-          violate("request " + std::to_string(r) + " (kind " +
-                  std::to_string(reqs[static_cast<size_t>(r)].kind) +
-                  ") reached the wrong terminal state or returned "
-                  "non-identical bytes");
-        }
-      }
-      const pipeline::ServingScheduler::Stats st = sched.stats();
-      if (st.items != expect[0] || st.expired_in_queue != expect[1] ||
-          st.fast_fails != expect[2]) {
-        violate("terminal accounting: served " + std::to_string(st.items) +
-                "/" + std::to_string(expect[0]) + ", shed " +
-                std::to_string(st.expired_in_queue) + "/" +
-                std::to_string(expect[1]) + ", fast-failed " +
-                std::to_string(st.fast_fails) + "/" +
-                std::to_string(expect[2]));
-      }
-      if (st.lane_items[0] + st.lane_items[1] != st.items) {
-        violate("lane tallies do not sum to served items");
-      }
-      if (st.items > 0 && st.batches < 1) {
-        violate("served items without any packed forward");
-      }
-      digest->assign(outcome.begin(), outcome.end());
-    };
-
-    std::string first, replay;
-    run_once(&first);
-    run_once(&replay);
-    if (first != replay) {
-      violate("storm outcome digest differs on replay");
-    }
-    for (const auto& v : violations) {
-      std::fprintf(stderr, "chaos_soak: VIOLATION: %s\n", v.c_str());
-    }
-    if (!violations.empty()) ++failures;
-    if (verbose && violations.empty()) {
-      std::fprintf(stderr, "seed %llu ok (storm digest %s)\n",
-                   static_cast<unsigned long long>(seed), first.c_str());
-    }
-  }
-  if (failures > 0) {
-    std::fprintf(stderr, "chaos_soak: sched-storm %d/%d seeds FAILED\n",
-                 failures, seeds);
-    return 1;
-  }
-  std::printf("chaos_soak: sched-storm %d seeds green (start %llu)\n", seeds,
-              static_cast<unsigned long long>(start_seed));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1530,7 +1311,6 @@ int main(int argc, char** argv) {
   bool cache_churn = false;
   bool replica_kill = false;
   bool gray_storm = false;
-  bool sched_storm = false;
   bool cache_plane_storm = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1557,15 +1337,13 @@ int main(int argc, char** argv) {
       replica_kill = true;
     } else if (arg == "--gray-storm") {
       gray_storm = true;
-    } else if (arg == "--sched-storm") {
-      sched_storm = true;
     } else if (arg == "--cache-plane-storm") {
       cache_plane_storm = true;
     } else {
       std::fprintf(stderr,
                    "usage: chaos_soak [--seeds N] [--start-seed S] "
                    "[--tables N] [--verbose] [--overload] [--cache-churn] "
-                   "[--replica-kill] [--gray-storm] [--sched-storm] "
+                   "[--replica-kill] [--gray-storm] "
                    "[--cache-plane-storm]\n");
       return 2;
     }
@@ -1575,7 +1353,6 @@ int main(int argc, char** argv) {
   if (overload) return RunOverloadSweep(env);
   if (replica_kill) return RunReplicaKill(env, seeds, start_seed, verbose);
   if (gray_storm) return RunGrayStorm(env, seeds, start_seed, verbose);
-  if (sched_storm) return RunSchedStorm(env, seeds, start_seed, verbose);
   if (cache_plane_storm) {
     return RunCachePlaneStorm(env, seeds, start_seed, verbose);
   }

@@ -21,15 +21,6 @@
 //     --max-inflight N       admission control: at most N tables in flight
 //                            and N queued; the rest are shed (kUnavailable)
 //     --cache-shards N       split the latent cache into N locked shards
-//     --sched-lanes N        priority lanes of the continuous-batching P2
-//                            scheduler: 2 = interactive + bulk (default),
-//                            1 = single FIFO; 0 disables the scheduler and
-//                            dispatches every P2 forward directly
-//     --sched-max-inflight-batches N
-//                            packed P2 forwards allowed in flight at once;
-//                            0 = auto (the cost model's profitable count
-//                            for this machine). Output is byte-identical
-//                            to the unbatched path either way
 //     --replicas N           fork N supervised worker processes and route
 //                            the batch through the multi-process serving
 //                            tier (crash failover + respawn; DESIGN.md §10);
@@ -72,7 +63,6 @@
 
 #include <signal.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -104,9 +94,6 @@ struct CliOptions {
   double deadline_ms = 0.0;
   int max_inflight = 0;
   int cache_shards = 1;
-  int sched_lanes = 2;
-  int sched_max_inflight = 0;  // 0 = auto
-  bool sched_flag_seen = false;
   int replicas = 0;
   double hedge_multiplier = 4.0;       // RouterOptions default
   double quarantine_threshold = 0.5;   // SupervisorOptions default
@@ -173,24 +160,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
       out->cache_shards = std::atoi(v);
       if (out->cache_shards < 1) {
         std::fprintf(stderr, "--cache-shards must be >= 1\n");
-        return false;
-      }
-    } else if (arg == "--sched-lanes") {
-      const char* v = need_value("--sched-lanes");
-      if (v == nullptr) return false;
-      out->sched_lanes = std::atoi(v);
-      out->sched_flag_seen = true;
-      if (out->sched_lanes < 0 || out->sched_lanes > 2) {
-        std::fprintf(stderr, "--sched-lanes must be 0, 1, or 2\n");
-        return false;
-      }
-    } else if (arg == "--sched-max-inflight-batches") {
-      const char* v = need_value("--sched-max-inflight-batches");
-      if (v == nullptr) return false;
-      out->sched_max_inflight = std::atoi(v);
-      out->sched_flag_seen = true;
-      if (out->sched_max_inflight < 0) {
-        std::fprintf(stderr, "--sched-max-inflight-batches must be >= 0\n");
         return false;
       }
     } else if (arg == "--replicas") {
@@ -278,8 +247,7 @@ void PrintUsage() {
       "taste_cli [--profile wiki|git] [--table NAME] [--alpha X] [--beta Y]\n"
       "          [--no-p2] [--sample] [--json] [--list]\n"
       "          [--metrics-out FILE] [--deadline-ms X] [--max-inflight N]\n"
-      "          [--cache-shards N] [--sched-lanes N]\n"
-      "          [--sched-max-inflight-batches N] [--replicas N]\n"
+      "          [--cache-shards N] [--replicas N]\n"
       "          [--hedge-multiplier X] [--quarantine-threshold X]\n"
       "          [--watchdog-ms X] [--p2-dtype fp32|int8]\n"
       "          [--cache-plane] [--warmup-keys N]\n"
@@ -368,8 +336,8 @@ int main(int argc, char** argv) {
 
   std::vector<core::TableDetectionResult> results;
   int exit_code = 0;
-  const bool serving_knobs = cli.deadline_ms != 0.0 || cli.max_inflight > 0 ||
-                             cli.sched_flag_seen || cli.replicas > 0;
+  const bool serving_knobs =
+      cli.deadline_ms != 0.0 || cli.max_inflight > 0 || cli.replicas > 0;
   if (!cli.metrics_out.empty() || serving_knobs) {
     // Observability / serving mode: run the batch through the pipelined
     // executor so the metrics document carries per-stage latency histograms
@@ -382,9 +350,6 @@ int main(int argc, char** argv) {
     pipeline::PipelineOptions popt;
     popt.deadline_ms = cli.deadline_ms;
     popt.p2_dtype = cli.p2_dtype;
-    popt.scheduling.enabled = cli.sched_lanes > 0;
-    popt.scheduling.lanes = std::max(1, cli.sched_lanes);
-    popt.scheduling.max_inflight_batches = cli.sched_max_inflight;
     if (cli.max_inflight > 0) {
       popt.admission.enabled = true;
       popt.admission.max_inflight_tables = cli.max_inflight;
