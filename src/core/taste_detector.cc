@@ -183,13 +183,12 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
     AdtdModel::MetadataEncoding enc;
     bool reused = false;
     if (options_.use_latent_cache) {
-      // Consult the cache — local shards, then the cross-replica plane
-      // (DESIGN.md §14) — before paying for the metadata tower. Reuse is
-      // byte-identical by construction: ForwardMetadata is deterministic,
-      // and SameEncodedInput proves the cached latents came from exactly
-      // these input bits. Any miss, timeout, or mismatch recomputes.
-      if (auto cached = cache_->GetOrFetch(ChunkCacheKey(job->table_name, i),
-                                           job->cancel)) {
+      // Consult this process's cache (DESIGN.md §9) before paying for the
+      // metadata tower. Reuse is byte-identical by construction:
+      // ForwardMetadata is deterministic, and SameEncodedInput proves the
+      // cached latents came from exactly these input bits. Any miss or
+      // mismatch recomputes.
+      if (auto cached = cache_->Get(ChunkCacheKey(job->table_name, i))) {
         if (SameEncodedInput(cached->input, chunk)) {
           enc = std::move(cached->encoding);
           reused = true;
@@ -209,12 +208,9 @@ Status TasteDetector::InferP1(Job* job, tensor::ExecContext* ctx) const {
     ClassifyP1Chunk(chunk, probs, job);
     if (options_.use_latent_cache) {
       if (!reused) {
-        // A genuine compute: park it locally and offer it to the plane.
-        // Cache-sourced entries are deliberately not re-Put or republished
-        // (GetOrFetch already refreshed recency; no echo loops).
-        const std::string key = ChunkCacheKey(job->table_name, i);
-        cache_->Put(key, {chunk, enc});
-        cache_->PublishToRemote(key, {chunk, enc});
+        // A genuine compute: park it. Cache-sourced entries are not re-Put
+        // (Get already refreshed recency).
+        cache_->Put(ChunkCacheKey(job->table_name, i), {chunk, enc});
       }
       job->encodings.push_back(std::move(enc));
     }

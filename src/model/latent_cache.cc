@@ -129,39 +129,6 @@ void LatentCache::Put(const std::string& key, CachedMetadata value) {
   }
 }
 
-std::optional<CachedMetadata> LatentCache::GetOrFetch(
-    const std::string& key, const CancelToken* cancel) {
-  if (auto local = Get(key)) return local;
-  RemoteLatentStore* remote = remote_.load(std::memory_order_acquire);
-  if (remote == nullptr || CancelledNow(cancel)) return std::nullopt;
-  // Outside any shard lock: a slow plane delays this key, not the cache.
-  std::optional<CachedMetadata> fetched = remote->Fetch(key, cancel);
-  obs::Registry& reg = obs::Registry::Global();
-  if (!fetched.has_value()) {
-    if (obs::MetricsEnabled()) {
-      reg.GetCounter("taste_cache_remote_misses_total")->Inc();
-    }
-    return std::nullopt;
-  }
-  if (obs::MetricsEnabled()) {
-    reg.GetCounter("taste_cache_remote_hits_total")->Inc();
-  }
-  // Promote to the local tier so repeats are local. Deliberately NOT
-  // republished: the entry came from the plane.
-  Put(key, *fetched);
-  return fetched;
-}
-
-void LatentCache::PublishToRemote(const std::string& key,
-                                  const CachedMetadata& value) {
-  RemoteLatentStore* remote = remote_.load(std::memory_order_acquire);
-  if (remote == nullptr) return;
-  remote->Publish(key, value);
-  if (obs::MetricsEnabled()) {
-    obs::Registry::Global().GetCounter("taste_cache_publish_total")->Inc();
-  }
-}
-
 std::optional<CachedMetadata> LatentCache::Get(const std::string& key) {
   Shard& shard = *shards_[ShardIndexFor(key)];
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -105,19 +105,7 @@ Router::Router(WorkerEnv env, RouterOptions options)
       ring_(options_.supervisor.replicas, options_.vnodes),
       cost_model_(env_.pipeline_options.p2_dtype == tensor::P2Dtype::kInt8
                       ? core::P2CostModel::DefaultInt8Params()
-                      : core::P2CostModel::Params()),
-      plane_(CachePlane::Options{options_.cache_plane_max_bytes}) {
-  if (env_.cache_plane) {
-    // Trust rules of the plane (DESIGN.md §14): a QUARANTINED replica's
-    // published entries are dropped (gray bytes are not trusted even under
-    // a valid CRC), while a fail-stop crash keeps them — determinism plus
-    // the entry CRC make them byte-identical to any recompute, and they
-    // are exactly what warms the replica after respawn.
-    supervisor_.SetQuarantineObserver(
-        [this](int id) { plane_.InvalidateFromPublisher(id); });
-    supervisor_.SetRespawnObserver([this](int id) { WarmReplica(id); });
-  }
-}
+                      : core::P2CostModel::Params()) {}
 
 Router::~Router() { Shutdown(); }
 
@@ -171,70 +159,13 @@ double Router::StragglerThresholdMs(size_t leg_tables) const {
                   cost_model_.EstimateP99Ms(tokens) * options_.hedge_multiplier);
 }
 
-bool Router::HandleCacheLookup(int replica_id, const std::string& payload) {
-  auto msg = DecodeCacheLookup(payload);
-  if (!msg.ok()) {
-    TASTE_LOG(Warn) << "replica " << replica_id << ": bad cache lookup: "
-                    << msg.status().ToString();
-    return false;
-  }
-  CacheFill fill;
-  fill.lookup_id = msg->lookup_id;
-  fill.key = msg->key;
-  if (auto entry = plane_.Lookup(msg->key)) {
-    fill.hit = 1;
-    fill.entry = std::move(*entry);
-  }
-  Replica* r = supervisor_.replica(replica_id);
-  if (r == nullptr || !ProcessAlive(r->state)) return true;
-  // The worker is blocked (bounded by its fetch timeout) on this answer;
-  // a failed write means the socket is gone — dead replica either way.
-  return WriteFrame(r->fd, FrameType::kCacheFill, EncodeCacheFill(fill)).ok();
-}
-
-bool Router::HandleCacheFill(int replica_id, const std::string& payload) {
-  auto msg = DecodeCacheFill(payload);
-  if (!msg.ok()) {
-    TASTE_LOG(Warn) << "replica " << replica_id << ": bad cache fill: "
-                    << msg.status().ToString();
-    return false;
-  }
-  // Workers only send unsolicited publishes (lookup_id 0, hit 1). Admit
-  // revalidates the entry CRC: a poisoned publish is rejected and counted,
-  // never parked — and crucially it is NOT a stream fault (the frame CRC
-  // held), so the replica lives on and its request degrades to the local
-  // recompute it already performed.
-  if (msg->lookup_id == 0 && msg->hit != 0) {
-    plane_.Admit(msg->key, std::move(msg->entry), replica_id);
-  }
-  return true;
-}
-
-void Router::WarmReplica(int replica_id) {
-  if (options_.warmup_keys <= 0) return;
-  Replica* r = supervisor_.replica(replica_id);
-  if (r == nullptr || !ProcessAlive(r->state)) return;
-  // Ownership comes from the same ring + dispatchability predicate the
-  // scatter path uses, so the pushed keys are exactly the ones the next
-  // batches will route to this replica.
-  auto owner_of = [this](const std::string& table) {
-    return ring_.NodeFor(table,
-                         [this](int id) { return supervisor_.Dispatchable(id); });
-  };
-  const auto entries = plane_.WarmupEntriesFor(
-      replica_id, owner_of, static_cast<size_t>(options_.warmup_keys));
-  for (const auto& [key, bytes] : entries) {
-    CacheFill fill;
-    fill.lookup_id = 0;
-    fill.hit = 1;
-    fill.key = key;
-    fill.entry = bytes;
-    if (!WriteFrame(r->fd, FrameType::kCacheFill, EncodeCacheFill(fill))
-             .ok()) {
-      supervisor_.MarkDead(replica_id);
-      return;
-    }
-  }
+void Router::AccountUnmatchedResponse(uint64_t request_id, size_t tables) {
+  auto sup = superseded_.find(request_id);
+  if (sup == superseded_.end()) return;
+  superseded_.erase(sup);
+  const auto w = static_cast<int64_t>(tables);
+  stats_.hedge_wasted_tables += w;
+  HedgeWastedCounter()->Inc(w);
 }
 
 void Router::RecordLegSample(size_t leg_tables, double wall_ms) {
@@ -407,16 +338,7 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
             return l.replica == id && l.request_id == resp->request_id;
           });
           if (leg == legs.end()) {
-            // No matching leg: either re-dispatched after a death (stale)
-            // or abandoned in a previous batch with its race already won —
-            // the latter is pure duplicate work, account for it.
-            auto sup = superseded_.find(resp->request_id);
-            if (sup != superseded_.end()) {
-              superseded_.erase(sup);
-              const auto w = static_cast<int64_t>(resp->tables.size());
-              stats_.hedge_wasted_tables += w;
-              HedgeWastedCounter()->Inc(w);
-            }
+            AccountUnmatchedResponse(resp->request_id, resp->tables.size());
             break;
           }
           if (resp->tables.size() != leg->indices.size()) {
@@ -455,12 +377,6 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
           legs.erase(leg);
           break;
         }
-        case FrameType::kCacheLookup:
-          if (!HandleCacheLookup(id, frame.payload)) return false;
-          break;
-        case FrameType::kCacheFill:
-          if (!HandleCacheFill(id, frame.payload)) return false;
-          break;
         default:
           break;  // scrape responses etc. outside a scrape are stale
       }
@@ -764,19 +680,13 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
           waiting.erase(id);
         } else if (frame.type == FrameType::kHeartbeatAck) {
           supervisor_.HandleHeartbeatAck(id, frame.payload);
-        } else if (frame.type == FrameType::kCacheLookup) {
-          // A worker still racing a leg may fetch mid-scrape; answer it so
-          // the scrape never forces cache misses.
-          if (!HandleCacheLookup(id, frame.payload)) {
-            supervisor_.MarkDead(id);
-            waiting.erase(id);
-            break;
-          }
-        } else if (frame.type == FrameType::kCacheFill) {
-          if (!HandleCacheFill(id, frame.payload)) {
-            supervisor_.MarkDead(id);
-            waiting.erase(id);
-            break;
+        } else if (frame.type == FrameType::kDetectResponse) {
+          // A leg that lost its race in the last batch can land here; no
+          // leg is in flight between batches, so every response is
+          // unmatched.
+          auto resp = DecodeDetectResponse(frame.payload);
+          if (resp.ok()) {
+            AccountUnmatchedResponse(resp->request_id, resp->tables.size());
           }
         }
       }

@@ -60,7 +60,6 @@
 #include "core/cost_model.h"
 #include "obs/metrics.h"
 #include "pipeline/scheduler.h"
-#include "serve/cache_plane.h"
 #include "serve/supervisor.h"
 #include "serve/worker.h"
 
@@ -151,15 +150,6 @@ struct RouterOptions {
   /// 0 derives 4× the leg's straggler threshold when hedging is enabled;
   /// with hedging also disabled the watchdog is off.
   double watchdog_ms = 0.0;
-
-  // -- Cache plane (DESIGN.md §14; armed by WorkerEnv::cache_plane) ----------
-
-  /// Hottest plane entries pushed to a respawned replica that the ring
-  /// assigns to it (warm-from-peers instead of cold-start). 0 disables the
-  /// warm-up push while leaving lookup/publish traffic on.
-  int warmup_keys = 32;
-  /// Byte budget of the router-resident plane store.
-  int64_t cache_plane_max_bytes = 64ll << 20;
 };
 
 /// Cumulative fault-handling activity across the router's lifetime.
@@ -209,10 +199,6 @@ class Router {
   const RouterStats& stats() const { return stats_; }
   Supervisor& supervisor() { return supervisor_; }
 
-  /// The router-resident cache-plane store (DESIGN.md §14). Populated only
-  /// when env.cache_plane is on; exposed for tests and the bench report.
-  const CachePlane& cache_plane() const { return plane_; }
-
  private:
   struct Leg;  // one in-flight DetectRequest to one replica
 
@@ -235,22 +221,11 @@ class Router {
   /// cost-model calibration so the straggler threshold tracks the machine.
   void RecordLegSample(size_t leg_tables, double wall_ms);
 
-  // -- Cache-plane frame handling (router main thread only) ------------------
-
-  /// Answers a worker's kCacheLookup with a kCacheFill carrying the same
-  /// lookup_id. Returns false when the frame is malformed or the reply
-  /// write failed — either way the caller must treat the stream as dead.
-  bool HandleCacheLookup(int replica_id, const std::string& payload);
-
-  /// Admits a worker's unsolicited kCacheFill publish into the plane (the
-  /// entry CRC gate lives in CachePlane::Admit). Returns false only on a
-  /// malformed payload.
-  bool HandleCacheFill(int replica_id, const std::string& payload);
-
-  /// Pushes the hottest plane entries owned by the (freshly respawned)
-  /// replica down its socket as lookup_id=0 fills. Fired by the
-  /// supervisor's respawn observer.
-  void WarmReplica(int replica_id);
+  /// Accounts a response whose request id matches no in-flight leg. An id
+  /// abandoned in an earlier batch with its race already resolved is pure
+  /// duplicate work and counted as wasted hedge tables; anything else is a
+  /// stale answer to a re-dispatched leg and ignored.
+  void AccountUnmatchedResponse(uint64_t request_id, size_t tables);
 
   WorkerEnv env_;
   RouterOptions options_;
@@ -260,8 +235,6 @@ class Router {
   /// Straggler-threshold model, online-calibrated from completed legs.
   core::P2CostModel cost_model_;
   std::vector<std::pair<int64_t, double>> cost_samples_;
-  /// The plane store. Only ever touched from the router's main thread.
-  CachePlane plane_;
   /// Request ids abandoned with their race already resolved (hedge or
   /// fallback won): a late response is counted as wasted hedge work
   /// instead of warned about as stale. Bounded.

@@ -46,7 +46,6 @@
 #include <sys/types.h>
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -192,24 +191,6 @@ class Supervisor {
   /// ids brought back up.
   std::vector<int> RespawnEligible();
 
-  /// Observer fired once per successful RESPAWN (never for the initial
-  /// Start spawns), after the replica is back up — both the router's batch
-  /// loop and MaintainUntilAllUp respawn through RespawnEligible, so one
-  /// hook covers every recovery path. The router uses it to warm the
-  /// newcomer's cache from the plane (DESIGN.md §14).
-  void SetRespawnObserver(std::function<void(int id)> observer) {
-    respawn_observer_ = std::move(observer);
-  }
-
-  /// Observer fired when a replica enters quarantine. The router uses it
-  /// to drop the replica's published cache-plane entries: a replica
-  /// condemned for gray behaviour may have published garbage that still
-  /// carried a valid CRC. Fail-stop deaths deliberately do NOT fire this —
-  /// a crashed replica's published results were valid when produced.
-  void SetQuarantineObserver(std::function<void(int id)> observer) {
-    quarantine_observer_ = std::move(observer);
-  }
-
   /// Milliseconds until the earliest pending respawn or (when
   /// `idle_heartbeats`) next heartbeat action; < 0 when no timer pending.
   double NextTimerMillis(bool idle_heartbeats) const;
@@ -271,8 +252,6 @@ class Supervisor {
 
   WorkerEnv env_;
   SupervisorOptions options_;
-  std::function<void(int)> respawn_observer_;
-  std::function<void(int)> quarantine_observer_;
   std::vector<Replica> replicas_;
   std::vector<double> recovery_ms_;
   int64_t watchdog_kills_ = 0;

@@ -29,10 +29,6 @@ const char* FrameTypeName(FrameType t) {
       return "scrape_response";
     case FrameType::kShutdown:
       return "shutdown";
-    case FrameType::kCacheLookup:
-      return "cache_lookup";
-    case FrameType::kCacheFill:
-      return "cache_fill";
   }
   return "unknown";
 }
@@ -683,194 +679,6 @@ Result<obs::Registry::Snapshot> DecodeMetricsSnapshot(
   }
   if (!r.ok()) return Status::IOError("truncated metrics snapshot");
   return snap;
-}
-
-// ---------------------------------------------------------------------------
-// Cache-plane payloads (DESIGN.md §14)
-
-std::string EncodeCacheLookup(const CacheLookup& msg) {
-  WireWriter w;
-  w.U64(msg.lookup_id);
-  w.Str(msg.key);
-  return w.Take();
-}
-
-Result<CacheLookup> DecodeCacheLookup(const std::string& payload) {
-  WireReader r(payload);
-  CacheLookup msg;
-  if (!r.U64(&msg.lookup_id) || !r.Str(&msg.key) || !r.AtEnd()) {
-    return Status::IOError("malformed CacheLookup");
-  }
-  return msg;
-}
-
-std::string EncodeCacheFill(const CacheFill& msg) {
-  WireWriter w;
-  w.U64(msg.lookup_id);
-  w.U8(msg.hit);
-  w.Str(msg.key);
-  w.Str(msg.entry);
-  return w.Take();
-}
-
-Result<CacheFill> DecodeCacheFill(const std::string& payload) {
-  WireReader r(payload);
-  CacheFill msg;
-  if (!r.U64(&msg.lookup_id) || !r.U8(&msg.hit) || !r.Str(&msg.key) ||
-      !r.Str(&msg.entry) || !r.AtEnd()) {
-    return Status::IOError("malformed CacheFill");
-  }
-  return msg;
-}
-
-namespace {
-
-void EncodeTensor(WireWriter* w, const tensor::Tensor& t) {
-  if (!t.defined()) {
-    w->U8(0);
-    return;
-  }
-  w->U8(1);
-  const tensor::Shape& shape = t.shape();
-  w->U32(static_cast<uint32_t>(shape.size()));
-  for (int64_t d : shape) w->I64(d);
-  const float* p = t.data();
-  const int64_t n = t.numel();
-  for (int64_t i = 0; i < n; ++i) w->F32(p[i]);
-}
-
-bool DecodeTensor(WireReader* r, tensor::Tensor* out) {
-  uint8_t defined = 0;
-  if (!r->U8(&defined)) return false;
-  if (defined == 0) {
-    *out = tensor::Tensor();
-    return true;
-  }
-  uint32_t rank = 0;
-  if (!r->U32(&rank) || rank < 1 || rank > 4 || !r->FitsElements(rank, 8)) {
-    return false;
-  }
-  tensor::Shape shape(rank);
-  int64_t numel = 1;
-  for (uint32_t i = 0; i < rank; ++i) {
-    if (!r->I64(&shape[i]) || shape[i] <= 0) return false;
-    // Overflow-safe product, bounded by what a frame could even carry.
-    if (numel > static_cast<int64_t>(kMaxFramePayload) / shape[i]) return false;
-    numel *= shape[i];
-  }
-  if (!r->FitsElements(static_cast<uint64_t>(numel), 4)) return false;
-  std::vector<float> data(static_cast<size_t>(numel));
-  for (float& v : data) {
-    if (!r->F32(&v)) return false;
-  }
-  *out = tensor::Tensor::FromVector(std::move(shape), std::move(data));
-  return true;
-}
-
-void EncodeIntVec(WireWriter* w, const std::vector<int>& v) {
-  w->U32(static_cast<uint32_t>(v.size()));
-  for (int x : v) w->U32(static_cast<uint32_t>(x));
-}
-
-bool DecodeIntVec(WireReader* r, std::vector<int>* out) {
-  uint32_t n = 0;
-  if (!r->U32(&n) || !r->FitsElements(n, 4)) return false;
-  out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t x = 0;
-    if (!r->U32(&x)) return false;
-    (*out)[i] = static_cast<int>(x);
-  }
-  return true;
-}
-
-void EncodeStrVec(WireWriter* w, const std::vector<std::string>& v) {
-  w->U32(static_cast<uint32_t>(v.size()));
-  for (const std::string& s : v) w->Str(s);
-}
-
-bool DecodeStrVec(WireReader* r, std::vector<std::string>* out) {
-  uint32_t n = 0;
-  if (!r->U32(&n) || !r->FitsElements(n, 4)) return false;
-  out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!r->Str(&(*out)[i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string EncodeCachedMetadata(const model::CachedMetadata& value) {
-  WireWriter w;
-  const model::EncodedMetadata& in = value.input;
-  w.Str(in.table_name);
-  EncodeIntVec(&w, in.token_ids);
-  EncodeIntVec(&w, in.column_anchors);
-  EncodeIntVec(&w, in.column_ordinals);
-  EncodeStrVec(&w, in.column_names);
-  EncodeTensor(&w, in.features);
-  EncodeTensor(&w, in.attention_mask);
-  w.U32(static_cast<uint32_t>(in.num_columns));
-  const model::AdtdModel::MetadataEncoding& enc = value.encoding;
-  w.U32(static_cast<uint32_t>(enc.layer_latents.size()));
-  for (const tensor::Tensor& t : enc.layer_latents) EncodeTensor(&w, t);
-  EncodeTensor(&w, enc.anchor_states);
-  EncodeTensor(&w, enc.logits);
-  std::string body = w.Take();
-  const uint32_t crc = Crc32(body.data(), body.size());
-  for (int i = 0; i < 4; ++i) {
-    body.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
-  }
-  return body;
-}
-
-bool CachedEntryCrcValid(const std::string& entry) {
-  if (entry.size() < 4) return false;
-  const size_t body = entry.size() - 4;
-  uint32_t want = 0;
-  for (int i = 3; i >= 0; --i) {
-    want = (want << 8) | static_cast<uint8_t>(entry[body + i]);
-  }
-  return Crc32(entry.data(), body) == want;
-}
-
-Result<model::CachedMetadata> DecodeCachedMetadata(const std::string& entry) {
-  // Integrity first: nothing in the entry is trusted before the CRC passes
-  // (the frame CRC covered the wire; this one covers plane residency).
-  if (!CachedEntryCrcValid(entry)) {
-    return Status::IOError("cache entry CRC mismatch");
-  }
-  WireReader r(entry);
-  model::CachedMetadata value;
-  uint32_t num_columns = 0;
-  if (!r.Str(&value.input.table_name) ||
-      !DecodeIntVec(&r, &value.input.token_ids) ||
-      !DecodeIntVec(&r, &value.input.column_anchors) ||
-      !DecodeIntVec(&r, &value.input.column_ordinals) ||
-      !DecodeStrVec(&r, &value.input.column_names) ||
-      !DecodeTensor(&r, &value.input.features) ||
-      !DecodeTensor(&r, &value.input.attention_mask) ||
-      !r.U32(&num_columns)) {
-    return Status::IOError("malformed cache entry metadata");
-  }
-  value.input.num_columns = static_cast<int>(num_columns);
-  uint32_t nlat = 0;
-  if (!r.U32(&nlat) || !r.FitsElements(nlat, 1)) {
-    return Status::IOError("malformed cache entry latent count");
-  }
-  value.encoding.layer_latents.resize(nlat);
-  for (uint32_t i = 0; i < nlat; ++i) {
-    if (!DecodeTensor(&r, &value.encoding.layer_latents[i])) {
-      return Status::IOError("malformed cache entry latent " +
-                             std::to_string(i));
-    }
-  }
-  if (!DecodeTensor(&r, &value.encoding.anchor_states) ||
-      !DecodeTensor(&r, &value.encoding.logits) || r.remaining() != 4) {
-    return Status::IOError("malformed cache entry encoding");
-  }
-  return value;
 }
 
 }  // namespace taste::serve

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "model/latent_cache.h"
 #include "obs/metrics.h"
 #include "pipeline/scheduler.h"
 
@@ -58,8 +57,6 @@ enum class FrameType : uint8_t {
   kScrapeRequest = 5,   // router -> worker: metrics snapshot request
   kScrapeResponse = 6,  // worker -> router: serialized registry snapshot
   kShutdown = 7,        // router -> worker: drain and exit cleanly
-  kCacheLookup = 8,     // worker -> router: cache-plane query for one key
-  kCacheFill = 9,       // both ways: lookup answer / publish / warm-up push
 };
 
 const char* FrameTypeName(FrameType t);
@@ -68,7 +65,7 @@ const char* FrameTypeName(FrameType t);
 /// else on the wire is a corrupt (or newer-protocol) stream.
 inline constexpr bool ValidFrameType(uint8_t raw) {
   return raw >= static_cast<uint8_t>(FrameType::kDetectRequest) &&
-         raw <= static_cast<uint8_t>(FrameType::kCacheFill);
+         raw <= static_cast<uint8_t>(FrameType::kShutdown);
 }
 
 /// Wire protocol version byte carried by every frame. Version 1 (PR 6) had
@@ -275,58 +272,6 @@ Result<DetectResponse> DecodeDetectResponse(const std::string& payload);
 std::string EncodeMetricsSnapshot(const obs::Registry::Snapshot& snap);
 Result<obs::Registry::Snapshot> DecodeMetricsSnapshot(
     const std::string& payload);
-
-// -- Cache-plane payloads (DESIGN.md §14) -------------------------------------
-
-/// Worker -> router: "does the plane hold this latent-cache key?". The
-/// lookup_id matches the answering kCacheFill to the in-flight fetch; a
-/// worker never has more than one fetch outstanding per connection, but the
-/// id survives timeouts (a late answer to an abandoned fetch is identified
-/// and demoted to warm data instead of being misattributed).
-struct CacheLookup {
-  uint64_t lookup_id = 0;
-  std::string key;  // LatentCache key: "<table>#<chunk>"
-};
-
-std::string EncodeCacheLookup(const CacheLookup& msg);
-Result<CacheLookup> DecodeCacheLookup(const std::string& payload);
-
-/// The fill frame, used in all three plane flows:
-///   worker -> router, lookup_id == 0: publish after a compute-miss
-///   router -> worker, lookup_id != 0: answer to that CacheLookup
-///   router -> worker, lookup_id == 0: warm-up push after a respawn
-/// `entry` is an encoded cache entry (EncodeCachedMetadata) when hit != 0,
-/// empty otherwise. The entry carries its own CRC-32 trailer on top of the
-/// frame CRC: the frame checksum protects the wire, the entry checksum
-/// protects plane residency (bytes parked in router memory between batches)
-/// and is revalidated at admit and serve time.
-struct CacheFill {
-  uint64_t lookup_id = 0;
-  uint8_t hit = 0;
-  std::string key;
-  std::string entry;
-};
-
-std::string EncodeCacheFill(const CacheFill& msg);
-Result<CacheFill> DecodeCacheFill(const std::string& payload);
-
-/// Serializes one latent-cache entry (the encoded metadata input plus the
-/// metadata tower's latents) with a trailing CRC-32 over the body. Floats
-/// travel as raw IEEE-754 bits, so a fetched entry is byte-identical to the
-/// publisher's compute — the property the cache-plane differential rig
-/// (tests/cache_plane_test.cc) proves against the single-process oracle.
-std::string EncodeCachedMetadata(const model::CachedMetadata& value);
-
-/// Validates the CRC trailer and every count field (FitsElements — a lying
-/// count can never drive an over-allocation) before reconstructing tensors.
-/// Any defect is an error Status; callers degrade to a cache miss.
-Result<model::CachedMetadata> DecodeCachedMetadata(const std::string& entry);
-
-/// Cheap integrity probe of an encoded entry: true when the CRC-32 trailer
-/// matches the body. The router's plane admits and serves entries by this
-/// check alone (it never needs the tensors), so in-memory corruption
-/// surfaces as a miss rather than a poisoned fill.
-bool CachedEntryCrcValid(const std::string& entry);
 
 }  // namespace taste::serve
 

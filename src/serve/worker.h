@@ -38,17 +38,6 @@ struct WorkerEnv {
   /// deadline (re-anchored from the wire) overrides deadline_ms.
   pipeline::PipelineOptions pipeline_options;
 
-  /// Cross-replica cache plane (DESIGN.md §14). When enabled, the worker
-  /// installs a RemoteLatentStore over its router socket into the shared
-  /// detector's latent cache AFTER the fork (copy-on-write keeps the
-  /// router's own detector plane-free, so its local-fallback executor
-  /// never blocks on a socket it is not reading).
-  bool cache_plane = false;
-  /// Upper bound on one plane fetch; the effective wait is
-  /// min(this, remaining request budget). An overdue fill degrades to a
-  /// local recompute — a slow plane can never block a request.
-  int cache_plane_timeout_ms = 20;
-
   /// Deterministic crash injection for the chaos harness and tests: the
   /// replica whose id equals `crash_replica` calls _exit(kCrashExitCode)
   /// the moment a detect request containing `crash_table` arrives —
@@ -83,22 +72,6 @@ struct WorkerEnv {
   int drip_chunk_bytes = 3;
   int drip_delay_us = 200;
 
-  // -- Cache-plane fault injection (chaos harness only) ---------------------
-
-  /// Entry-level corruption: the matching replica flips one payload bit of
-  /// every cache entry it publishes for the table, AFTER the entry CRC was
-  /// computed (the frame CRC stays valid). The router must reject the
-  /// entry at admit time — a poisoned publish becomes a plane miss, never
-  /// a poisoned fill.
-  int cache_entry_corrupt_replica = -1;
-  std::string cache_entry_corrupt_table;
-
-  /// Frame-level corruption on the publish path: the matching replica
-  /// sends its publish through WriteFrameCorrupted. The router must treat
-  /// the stream as poisoned (kill + re-dispatch), exactly like a corrupt
-  /// detect response.
-  int cache_frame_corrupt_replica = -1;
-  std::string cache_frame_corrupt_table;
 };
 
 /// Exit code of an injected crash (distinguishable from clean exit 0).

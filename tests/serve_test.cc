@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/cost_model.h"
 #include "core/taste_detector.h"
 #include "data/table_generator.h"
@@ -186,14 +187,18 @@ TEST(WireTest, WrongProtocolVersionIsRejected) {
 }
 
 TEST(WireTest, InvalidFrameTypeIsRejected) {
-  std::string frame = serve::EncodeFrame(serve::FrameType::kHeartbeat, "x");
-  frame[5] = static_cast<char>(0xEE);
-  serve::FrameBuffer fb;
-  fb.Append(frame.data(), frame.size());
-  serve::Frame out;
-  auto r = fb.Next(&out);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(fb.last_fault(), serve::FrameFault::kBadType);
+  // 8 and 9 once carried the retired cross-replica latent-cache frames;
+  // past kShutdown they must be as foreign to the parser as any other byte.
+  for (const uint8_t type : {uint8_t{0xEE}, uint8_t{8}, uint8_t{9}}) {
+    std::string frame = serve::EncodeFrame(serve::FrameType::kHeartbeat, "x");
+    frame[5] = static_cast<char>(type);
+    serve::FrameBuffer fb;
+    fb.Append(frame.data(), frame.size());
+    serve::Frame out;
+    auto r = fb.Next(&out);
+    EXPECT_FALSE(r.ok()) << int{type};
+    EXPECT_EQ(fb.last_fault(), serve::FrameFault::kBadType) << int{type};
+  }
 }
 
 TEST(WireTest, TruncatedFrameWaitsInsteadOfFaulting) {
@@ -304,6 +309,8 @@ struct ServeEnv {
           data::SemanticTypeRegistry::Default().size());
       Rng rng(21);
       e->model = std::make_unique<model::AdtdModel>(cfg, rng);
+      // Prepacked so the int8 router case can run; inert for fp32 contexts.
+      TASTE_CHECK(e->model->PrepackQuantWeights() > 0);
       core::TasteOptions topt;  // faults off, defaults everywhere
       e->detector = std::make_unique<core::TasteDetector>(
           e->model.get(), e->tokenizer.get(), topt);
@@ -321,6 +328,13 @@ struct ServeEnv {
     auto db = std::make_unique<clouddb::SimulatedDatabase>(cost);
     EXPECT_TRUE(db->IngestDataset(dataset).ok());
     return db;
+  }
+
+  /// A detector with its own (cold) latent cache over the shared model, so
+  /// a router's replicas fork an image that never computed anything.
+  std::unique_ptr<core::TasteDetector> MakeDetector() const {
+    return std::make_unique<core::TasteDetector>(model.get(), tokenizer.get(),
+                                                 core::TasteOptions{});
   }
 };
 
@@ -364,11 +378,13 @@ void ExpectBatchesIdentical(const pipeline::BatchResult& got,
   }
 }
 
-pipeline::BatchResult OracleRun(const ServeEnv& env,
-                                const std::vector<std::string>& tables) {
+pipeline::BatchResult OracleRun(
+    const ServeEnv& env, const std::vector<std::string>& tables,
+    tensor::P2Dtype dtype = tensor::P2Dtype::kFp32) {
   auto db = env.MakeDb();
-  pipeline::PipelineExecutor exec(env.detector.get(), db.get(),
-                                  WorkerPipelineOptions());
+  pipeline::PipelineOptions popt = WorkerPipelineOptions();
+  popt.p2_dtype = dtype;
+  pipeline::PipelineExecutor exec(env.detector.get(), db.get(), popt);
   return exec.RunBatch(tables);
 }
 
@@ -510,6 +526,81 @@ TEST(RouterTest, ScrapeAggregatesReplicaRegistries) {
   }
   EXPECT_EQ(per_replica, 2);
   router.Shutdown();
+}
+
+// Randomized table mixes (duplicates allowed, random order) over one
+// long-lived fleet: every batch is byte-identical to the single-process
+// oracle while the replicas' latent caches warm up batch by batch.
+TEST(RouterTest, RandomizedBatchesMatchOracleAcross50Seeds) {
+  const ServeEnv& env = ServeEnv::Get();
+  auto det = env.MakeDetector();
+  auto db = env.MakeDb();
+  serve::WorkerEnv wenv;
+  wenv.detector = det.get();
+  wenv.db = db.get();
+  wenv.pipeline_options = WorkerPipelineOptions();
+  serve::RouterOptions ropt;
+  ropt.supervisor.replicas = 3;
+  serve::Router router(wenv, ropt);
+  ASSERT_TRUE(router.Start().ok());
+
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed * 7919);
+    const size_t n = 1 + rng.NextU64() % 4;
+    std::vector<std::string> tables;
+    for (size_t k = 0; k < n; ++k) {
+      tables.push_back(env.table_names[rng.NextU64() % env.table_names.size()]);
+    }
+    ExpectBatchesIdentical(router.RunBatch(tables), OracleRun(env, tables));
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  EXPECT_EQ(router.stats().replica_deaths, 0);
+  router.Shutdown();
+}
+
+/// SIGKILLs a ring owner between two batches and respawns it: the fresh
+/// fork starts with a cold latent cache and recomputes P1 for every table
+/// it owns, which must be byte-identical to the oracle in either dtype.
+void RunRespawnRecomputeCase(tensor::P2Dtype dtype) {
+  const ServeEnv& env = ServeEnv::Get();
+  auto det = env.MakeDetector();
+  auto db = env.MakeDb();
+  serve::WorkerEnv wenv;
+  wenv.detector = det.get();
+  wenv.db = db.get();
+  wenv.pipeline_options = WorkerPipelineOptions();
+  wenv.pipeline_options.p2_dtype = dtype;
+  serve::RouterOptions ropt;
+  ropt.supervisor.replicas = 2;
+  serve::Router router(wenv, ropt);
+  ASSERT_TRUE(router.Start().ok());
+
+  const pipeline::BatchResult want =
+      OracleRun(env, env.table_names, dtype);
+  ExpectBatchesIdentical(router.RunBatch(env.table_names), want);
+
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  const int victim = ring.NodeFor(env.table_names[0], [](int) { return true; });
+  ASSERT_GE(victim, 0);
+  ASSERT_EQ(::kill(router.supervisor().replica(victim)->pid, SIGKILL), 0);
+  for (int spin = 0; spin < 400; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (!router.supervisor().ReapDead().empty()) break;
+  }
+  ASSERT_TRUE(router.MaintainUntilAllUp(10000.0));
+  ASSERT_EQ(router.supervisor().total_respawns(), 1);
+
+  ExpectBatchesIdentical(router.RunBatch(env.table_names), want);
+  EXPECT_EQ(router.stats().local_fallback_tables, 0);
+  router.Shutdown();
+}
+
+TEST(RouterTest, RespawnedReplicaRecomputesByteIdenticalFp32) {
+  RunRespawnRecomputeCase(tensor::P2Dtype::kFp32);
+}
+
+TEST(RouterTest, RespawnedReplicaRecomputesByteIdenticalInt8) {
+  RunRespawnRecomputeCase(tensor::P2Dtype::kInt8);
 }
 
 // ---------------------------------------------------------------------------
@@ -661,6 +752,53 @@ TEST(RouterTest, SlowDripResponseReassemblesByteIdentical) {
   // buffer reassembles them with the CRC intact — no fault, no failover.
   ExpectBatchesIdentical(got, OracleRun(env, env.table_names));
   EXPECT_EQ(router.stats().replica_deaths, 0);
+  router.Shutdown();
+}
+
+// A hedge race's loser can still be in flight when RunBatch returns; if its
+// response lands during the next Scrape, it is wasted duplicate work and
+// must be counted exactly as if the next batch had drained it.
+TEST(RouterTest, ScrapeCountsLateSupersededResponseAsWasted) {
+  const ServeEnv& env = ServeEnv::Get();
+  auto db = env.MakeDb();
+  serve::WorkerEnv wenv;
+  wenv.detector = env.detector.get();
+  wenv.db = db.get();
+  wenv.pipeline_options = WorkerPipelineOptions();
+  serve::RouterOptions ropt;
+  ropt.supervisor.replicas = 2;
+  ropt.hedge_multiplier = 1.0;  // hedge at the floor
+  ropt.hedge_floor_ms = 40.0;
+  ropt.hedge_budget_fraction = 1.0;
+  ropt.watchdog_ms = 60'000.0;        // the drip is slow, not wedged
+  ropt.scrape_timeout_ms = 30'000.0;  // wait out the rest of the drip
+
+  // The owner of the victim table drips its whole response at ~8 bytes per
+  // 2 ms: far past the hedge floor, so the successor's hedge wins.
+  serve::ConsistentHashRing ring(ropt.supervisor.replicas, ropt.vnodes);
+  const std::string victim_table = env.table_names[3];
+  wenv.drip_replica = ring.NodeFor(victim_table, [](int) { return true; });
+  wenv.drip_table = victim_table;
+  wenv.drip_chunk_bytes = 8;
+  wenv.drip_delay_us = 2000;
+
+  obs::Counter* wasted =
+      obs::Registry::Global().GetCounter("taste_hedge_wasted_total");
+  const int64_t wasted_before = wasted->Value();
+
+  serve::Router router(wenv, ropt);
+  ASSERT_TRUE(router.Start().ok());
+  pipeline::BatchResult got = router.RunBatch(env.table_names);
+  ExpectBatchesIdentical(got, OracleRun(env, env.table_names));
+  const int64_t hedged = router.stats().hedged_tables;
+  ASSERT_GE(hedged, 1);
+  // Every hedged race's loser is still dripping.
+  ASSERT_EQ(router.stats().hedge_wasted_tables, 0);
+
+  ASSERT_TRUE(router.Scrape().ok());
+  // Each hedged table had exactly one loser, now drained by the scrape.
+  EXPECT_EQ(router.stats().hedge_wasted_tables, hedged);
+  EXPECT_EQ(wasted->Value() - wasted_before, hedged);
   router.Shutdown();
 }
 

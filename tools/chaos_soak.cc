@@ -35,13 +35,6 @@
 // mismatch in this mode means detection output started depending on cache
 // state.
 //
-// --cache-plane-storm drives the cross-replica cache plane (DESIGN.md §14)
-// through kill/respawn mid-warm-up with byte-flip corruption aimed at cache
-// frames and cache entries, running every seed both warm (peer warm-up
-// pushes on) and cold, and asserts byte-identity against the oracle,
-// balanced terminal accounting, corruption containment, bounded recovery,
-// and that warm-from-peers beats cold-start on recovered hit rate.
-//
 // Usage:
 //   chaos_soak [--seeds N] [--start-seed S] [--tables N] [--verbose]
 //              [--cache-churn]
@@ -49,8 +42,6 @@
 //   chaos_soak --replica-kill kill/respawn chaos (fail-stop failures)
 //   chaos_soak --gray-storm   gray-failure chaos: SIGSTOP wedges, byte-flip
 //                             corruption, slow-drip partial writes
-//   chaos_soak --cache-plane-storm
-//                             cache-plane chaos (see above)
 //
 // Exit code 0 = all seeds green; 1 = an invariant failed (details on
 // stderr, with the seed to replay).
@@ -911,392 +902,6 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// --cache-plane-storm: kill/respawn + corruption chaos against the
-// cross-replica latent cache plane (DESIGN.md §14).
-//
-// Each seed derives a faults-OFF scenario with the plane armed, computes
-// the single-process oracle digest, then drives two phases through a
-// serve::Router:
-//
-//   batch 1  cold fleet — every chunk computes and publishes; seeds with a
-//            corruption kind aim it at the ring owner of a target table
-//            (entry-level bit flips must be rejected at admit and cost
-//            nothing; frame-level flips must poison the stream exactly
-//            like a corrupt detect response);
-//   recovery SIGKILL a victim replica, then drive respawn. Half the seeds
-//            also race a second SIGKILL against the respawned pid, so the
-//            warm-up push can die mid-write — the router must absorb the
-//            failed push (MarkDead + eventual re-respawn), never wedge;
-//   batch 2  the recovered fleet re-serves the same tables.
-//
-// Every seed runs the phases TWICE: once with warm-up pushes armed
-// (warmup_keys high) and once cold (warmup_keys = 0, lookups only).
-//
-// Invariants:
-//   * byte-identity — both batches, both runs, equal the oracle digest
-//     exactly, whatever mix of local hits, plane hits, timeouts, rejected
-//     entries, and re-dispatches produced them;
-//   * balanced terminal accounting — every table resolves exactly once as
-//     kComplete/OK, in input order;
-//   * corruption containment — entry-corrupt seeds move the plane's CRC
-//     reject counter and kill nobody; frame-corrupt seeds kill the
-//     poisoned stream and re-dispatch;
-//   * recovery — the fleet returns to full strength despite the racing
-//     mid-warm-up kill;
-//   * warm-from-peers beats cold-start — aggregated over all seeds, the
-//     respawned replica's batch-2 local hit rate under warm-up must
-//     exceed the cold-start rate by a clear margin (the whole point of
-//     the warm-up push).
-
-struct CachePlaneScenario {
-  std::vector<std::string> tables;
-  core::TasteOptions detector_options;
-  pipeline::PipelineOptions pipeline_options;
-  int replicas = 2;
-  enum class Corrupt { kNone, kEntry, kFrame } corrupt = Corrupt::kNone;
-  std::string corrupt_table;
-  int victim = 0;          // replica SIGKILLed between the batches
-  bool mid_warmup_kill = false;  // race a second kill against the respawn
-  int timeout_ms = 2000;   // plane fetch budget (1 = timeout-degrade storms)
-  /// Every 3rd seed is a fault-free calibration seed: kill + respawn only.
-  /// The warm-vs-cold hit-rate comparison uses ONLY these — corruption,
-  /// racing kills, and 1 ms fetch budgets legitimately shrink the warm-up
-  /// benefit, and folding them in would turn the threshold into noise.
-  bool calibration = false;
-};
-
-CachePlaneScenario MakeCachePlaneScenario(uint64_t seed, const Env& env) {
-  SplitMix64 rng(seed * 0x2545F4914F6CDD1Dull + 0xCAC4Eull);
-  CachePlaneScenario sc;
-  const int total = static_cast<int>(env.table_names.size());
-  const int count = rng.Range(3, std::min(8, total));
-  const int start = rng.Range(0, total - 1);
-  for (int k = 0; k < count; ++k) {
-    sc.tables.push_back(env.table_names[(start + k) % total]);
-  }
-  // Faults OFF: detection is a pure function of the table, so byte-identity
-  // against the oracle is meaningful.
-  sc.detector_options.enable_p2 = rng.Unit() < 0.9;
-  pipeline::PipelineOptions& popt = sc.pipeline_options;
-  popt.pipelined = rng.Unit() < 0.8;
-  popt.prep_threads = rng.Range(1, 3);
-  popt.infer_threads = rng.Range(1, 3);
-  popt.deadline_ms = rng.Unit() < 0.5 ? 10000.0 : 0.0;
-  sc.replicas = rng.Range(2, 4);
-  const double u = rng.Unit();
-  sc.corrupt = u < 0.35 ? CachePlaneScenario::Corrupt::kEntry
-               : u < 0.6 ? CachePlaneScenario::Corrupt::kFrame
-                         : CachePlaneScenario::Corrupt::kNone;
-  sc.corrupt_table = sc.tables[static_cast<size_t>(
-      rng.Range(0, static_cast<int>(sc.tables.size()) - 1))];
-  sc.victim = rng.Range(0, sc.replicas - 1);
-  sc.mid_warmup_kill = rng.Unit() < 0.5;
-  // A sliver of seeds squeeze the fetch budget to ~1 ms: plane lookups may
-  // time out under load and MUST degrade to byte-identical recomputes.
-  sc.timeout_ms = rng.Unit() < 0.2 ? 1 : 2000;
-  sc.calibration = seed % 3 == 0;
-  if (sc.calibration) {
-    sc.corrupt = CachePlaneScenario::Corrupt::kNone;
-    sc.mid_warmup_kill = false;
-    sc.timeout_ms = 2000;
-  }
-  return sc;
-}
-
-/// Victim-replica local-cache traffic in batch 2, for the warm-vs-cold
-/// hit-rate comparison.
-struct PlaneRunTally {
-  int64_t victim_hits = 0;
-  int64_t victim_lookups = 0;
-};
-
-PlaneRunTally RunCachePlaneOnce(
-    const Env& env, const CachePlaneScenario& sc, bool warm,
-    const std::string& oracle_digest,
-    const std::function<void(const std::string&)>& violate, bool verbose) {
-  PlaneRunTally tally;
-  clouddb::CostModel cost;
-  cost.time_scale = 0.0;
-  clouddb::SimulatedDatabase db(cost);
-  TASTE_CHECK(db.IngestDataset(env.dataset).ok());
-  core::TasteDetector detector(env.model.get(), env.tokenizer.get(),
-                               sc.detector_options);
-  serve::WorkerEnv wenv;
-  wenv.detector = &detector;
-  wenv.db = &db;
-  wenv.pipeline_options = sc.pipeline_options;
-  wenv.cache_plane = true;
-  wenv.cache_plane_timeout_ms = sc.timeout_ms;
-
-  serve::RouterOptions ropt;
-  ropt.supervisor.replicas = sc.replicas;
-  ropt.warmup_keys = warm ? 256 : 0;
-
-  serve::ConsistentHashRing ring(sc.replicas, ropt.vnodes);
-  const int owner = ring.NodeFor(sc.corrupt_table, [](int) { return true; });
-  switch (sc.corrupt) {
-    case CachePlaneScenario::Corrupt::kEntry:
-      wenv.cache_entry_corrupt_replica = owner;
-      wenv.cache_entry_corrupt_table = sc.corrupt_table;
-      break;
-    case CachePlaneScenario::Corrupt::kFrame:
-      wenv.cache_frame_corrupt_replica = owner;
-      wenv.cache_frame_corrupt_table = sc.corrupt_table;
-      break;
-    case CachePlaneScenario::Corrupt::kNone:
-      break;
-  }
-
-  obs::Counter* corrupt_frames =
-      obs::Registry::Global().GetCounter("taste_frames_corrupt_total");
-  const int64_t corrupt_before = corrupt_frames->Value();
-
-  serve::Router router(wenv, ropt);
-  TASTE_CHECK(router.Start().ok());
-
-  auto check_batch = [&](const pipeline::BatchResult& batch,
-                         const char* phase) {
-    std::string digest;
-    AppendBatchDigest(batch, sc.tables, &digest);
-    if (digest != oracle_digest) {
-      violate(std::string(phase) + (warm ? " (warm)" : " (cold)") +
-              ": batch is NOT byte-identical to the single-process oracle");
-      if (verbose) {
-        std::fprintf(stderr, "--- oracle ---\n%s--- router ---\n%s",
-                     oracle_digest.c_str(), digest.c_str());
-      }
-    }
-    if (batch.tables.size() != sc.tables.size()) {
-      violate(std::string(phase) + ": result count mismatch");
-      return;
-    }
-    for (size_t i = 0; i < batch.tables.size(); ++i) {
-      const auto& t = batch.tables[i];
-      if (t.outcome != pipeline::TableOutcome::kComplete || !t.status.ok() ||
-          t.result.table_name != sc.tables[i]) {
-        violate(sc.tables[i] + ": non-terminal or out-of-order result (" +
-                std::string(pipeline::TableOutcomeName(t.outcome)) + ", " +
-                t.status.ToString() + ")");
-      }
-    }
-  };
-
-  check_batch(router.RunBatch(sc.tables), "batch1");
-  if (router.cache_plane().stats().fills < 1 &&
-      sc.corrupt != CachePlaneScenario::Corrupt::kFrame) {
-    violate("plane admitted no entries in batch 1");
-  }
-
-  // Recovery phase: SIGKILL the victim, then drive respawn — with, on half
-  // the seeds, a racing second kill aimed at the respawned pid so the
-  // warm-up push can die mid-write.
-  const serve::Replica* victim_replica = router.supervisor().replica(sc.victim);
-  const pid_t pid0 = victim_replica != nullptr ? victim_replica->pid : -1;
-  if (pid0 > 0) ::kill(pid0, SIGKILL);
-  // Spin until the death is actually reaped: MaintainUntilAllUp sees "all
-  // up" (and does nothing) as long as the SIGKILL is still in flight.
-  for (int spin = 0; spin < 400; ++spin) {
-    if (!router.supervisor().ReapDead().empty()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  std::thread racer;
-  if (sc.mid_warmup_kill) {
-    racer = std::thread([&router, &sc, pid0] {
-      // Pid reads are racy on purpose (chaos): worst case we kill a pid
-      // that already died, which is a no-op.
-      for (int spin = 0; spin < 4000; ++spin) {
-        const serve::Replica* r = router.supervisor().replica(sc.victim);
-        const pid_t p = r != nullptr ? r->pid : -1;
-        if (p > 0 && p != pid0 && serve::ProcessAlive(r->state)) {
-          ::kill(p, SIGKILL);
-          return;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(250));
-      }
-    });
-  }
-  bool full_strength = false;
-  for (int attempt = 0; attempt < 4 && !full_strength; ++attempt) {
-    full_strength = router.MaintainUntilAllUp(5000.0);
-  }
-  if (racer.joinable()) racer.join();
-  if (!full_strength) full_strength = router.MaintainUntilAllUp(5000.0);
-  if (!full_strength) {
-    violate("fleet did not return to full strength after the kill storm");
-  }
-  if (warm && sc.calibration &&
-      router.cache_plane().stats().warmup_pushes < 1) {
-    // Only meaningful when the ring actually assigns the victim a table:
-    // warm-up pushes are scoped to the respawned replica's owned keys.
-    int victim_owned = 0;
-    for (const auto& t : sc.tables) {
-      if (ring.NodeFor(t, [](int) { return true; }) == sc.victim) {
-        ++victim_owned;
-      }
-    }
-    if (victim_owned > 0) {
-      violate("respawn with warm-up armed pushed no entries (victim " +
-              std::to_string(sc.victim) + " owns " +
-              std::to_string(victim_owned) + "/" +
-              std::to_string(sc.tables.size()) + " tables, plane holds " +
-              std::to_string(router.cache_plane().size()) + " entries, " +
-              std::to_string(router.cache_plane().stats().fills) + " fills)");
-    }
-  }
-
-  // Baseline scrape before batch 2: a respawned worker's registry is forked
-  // from the router parent, so its counters START at the parent's
-  // accumulated values — only the delta across batch 2 is the victim's own
-  // cache traffic.
-  const std::string rep = std::to_string(sc.victim);
-  auto victim_counter = [&](const Result<obs::Registry::Snapshot>& snap,
-                            const std::string& base) -> int64_t {
-    if (!snap.ok()) return 0;
-    auto it = snap->counters.find(obs::LabeledName(base, "replica", rep));
-    return it == snap->counters.end() ? 0 : it->second;
-  };
-  auto before = router.Scrape();
-  if (!before.ok()) {
-    violate("pre-batch-2 scrape failed: " + before.status().ToString());
-  }
-
-  check_batch(router.RunBatch(sc.tables), "batch2");
-
-  // Corruption containment.
-  const int64_t corrupt_delta = corrupt_frames->Value() - corrupt_before;
-  switch (sc.corrupt) {
-    case CachePlaneScenario::Corrupt::kEntry:
-      if (router.cache_plane().stats().crc_rejects < 1) {
-        violate("entry-corrupt seed saw no plane CRC rejects");
-      }
-      break;
-    case CachePlaneScenario::Corrupt::kFrame:
-      if (corrupt_delta < 1) {
-        violate("frame-corrupt seed moved taste_frames_corrupt_total by 0");
-      }
-      if (router.stats().replica_deaths < 1) {
-        violate("frame-corrupt stream did not kill the poisoned connection");
-      }
-      break;
-    case CachePlaneScenario::Corrupt::kNone:
-      if (corrupt_delta != 0) {
-        violate("clean seed moved taste_frames_corrupt_total by " +
-                std::to_string(corrupt_delta));
-      }
-      break;
-  }
-
-  // Victim hit-rate tally for the warm-vs-cold comparison.
-  auto after = router.Scrape();
-  if (!after.ok()) {
-    violate("post-batch-2 scrape failed: " + after.status().ToString());
-  } else if (before.ok()) {
-    tally.victim_hits = victim_counter(after, "taste_cache_hits_total") -
-                        victim_counter(before, "taste_cache_hits_total");
-    const int64_t misses =
-        victim_counter(after, "taste_cache_misses_total") -
-        victim_counter(before, "taste_cache_misses_total");
-    tally.victim_lookups = tally.victim_hits + misses;
-  }
-  router.Shutdown();
-  return tally;
-}
-
-int RunCachePlaneStorm(const Env& env, int seeds, uint64_t start_seed,
-                       bool verbose) {
-  obs::SetMetricsEnabled(true);
-  int failures = 0;
-  int64_t warm_hits = 0, warm_lookups = 0, cold_hits = 0, cold_lookups = 0;
-  for (int k = 0; k < seeds; ++k) {
-    const uint64_t seed = start_seed + static_cast<uint64_t>(k);
-    const CachePlaneScenario sc = MakeCachePlaneScenario(seed, env);
-    std::vector<std::string> violations;
-    auto violate = [&](const std::string& what) {
-      violations.push_back("seed " + std::to_string(seed) + ": " + what);
-    };
-
-    // Single-process oracle (fresh db + detector, same options).
-    std::string oracle_digest;
-    {
-      clouddb::CostModel cost;
-      cost.time_scale = 0.0;
-      clouddb::SimulatedDatabase db(cost);
-      TASTE_CHECK(db.IngestDataset(env.dataset).ok());
-      core::TasteDetector detector(env.model.get(), env.tokenizer.get(),
-                                   sc.detector_options);
-      pipeline::PipelineExecutor exec(&detector, &db, sc.pipeline_options);
-      pipeline::BatchResult batch = exec.RunBatch(sc.tables);
-      AppendBatchDigest(batch, sc.tables, &oracle_digest);
-    }
-
-    const PlaneRunTally warm = RunCachePlaneOnce(env, sc, /*warm=*/true,
-                                                 oracle_digest, violate,
-                                                 verbose);
-    const PlaneRunTally cold = RunCachePlaneOnce(env, sc, /*warm=*/false,
-                                                 oracle_digest, violate,
-                                                 verbose);
-    if (sc.calibration) {
-      warm_hits += warm.victim_hits;
-      warm_lookups += warm.victim_lookups;
-      cold_hits += cold.victim_hits;
-      cold_lookups += cold.victim_lookups;
-    }
-
-    for (const auto& v : violations) {
-      std::fprintf(stderr, "chaos_soak: VIOLATION: %s\n", v.c_str());
-    }
-    if (!violations.empty()) ++failures;
-    if (verbose && violations.empty()) {
-      std::fprintf(
-          stderr,
-          "seed %llu ok (%zu tables, %d replicas, corrupt=%d, midkill=%d, "
-          "warm %lld/%lld cold %lld/%lld)\n",
-          static_cast<unsigned long long>(seed), sc.tables.size(), sc.replicas,
-          static_cast<int>(sc.corrupt), sc.mid_warmup_kill ? 1 : 0,
-          static_cast<long long>(warm.victim_hits),
-          static_cast<long long>(warm.victim_lookups),
-          static_cast<long long>(cold.victim_hits),
-          static_cast<long long>(cold.victim_lookups));
-    }
-  }
-
-  // Warm-from-peers must beat cold-start on the recovered replica's local
-  // hit rate, aggregated across the calibration seeds: the warm-up push
-  // exists to turn the respawn's first batch from misses into hits.
-  const double warm_rate =
-      warm_lookups > 0 ? static_cast<double>(warm_hits) / warm_lookups : 0.0;
-  const double cold_rate =
-      cold_lookups > 0 ? static_cast<double>(cold_hits) / cold_lookups : 0.0;
-  std::printf("cache-plane-storm: recovered hit rate warm=%.3f (%lld/%lld) "
-              "cold=%.3f (%lld/%lld)\n",
-              warm_rate, static_cast<long long>(warm_hits),
-              static_cast<long long>(warm_lookups), cold_rate,
-              static_cast<long long>(cold_hits),
-              static_cast<long long>(cold_lookups));
-  if (warm_lookups == 0) {
-    std::fprintf(stderr,
-                 "chaos_soak: VIOLATION: no victim-replica cache traffic "
-                 "observed in any calibration warm run\n");
-    ++failures;
-  } else if (warm_rate < cold_rate + 0.25) {
-    std::fprintf(stderr,
-                 "chaos_soak: VIOLATION: warm-from-peers hit rate %.3f does "
-                 "not beat cold-start %.3f by the 0.25 margin\n",
-                 warm_rate, cold_rate);
-    ++failures;
-  }
-
-  if (failures > 0) {
-    std::fprintf(stderr, "chaos_soak: cache-plane-storm %d/%d seeds FAILED\n",
-                 failures, seeds);
-    return 1;
-  }
-  std::printf("chaos_soak: cache-plane-storm %d seeds green (start %llu)\n",
-              seeds, static_cast<unsigned long long>(start_seed));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1311,7 +916,6 @@ int main(int argc, char** argv) {
   bool cache_churn = false;
   bool replica_kill = false;
   bool gray_storm = false;
-  bool cache_plane_storm = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -1337,14 +941,11 @@ int main(int argc, char** argv) {
       replica_kill = true;
     } else if (arg == "--gray-storm") {
       gray_storm = true;
-    } else if (arg == "--cache-plane-storm") {
-      cache_plane_storm = true;
     } else {
       std::fprintf(stderr,
                    "usage: chaos_soak [--seeds N] [--start-seed S] "
                    "[--tables N] [--verbose] [--overload] [--cache-churn] "
-                   "[--replica-kill] [--gray-storm] "
-                   "[--cache-plane-storm]\n");
+                   "[--replica-kill] [--gray-storm]\n");
       return 2;
     }
   }
@@ -1353,9 +954,6 @@ int main(int argc, char** argv) {
   if (overload) return RunOverloadSweep(env);
   if (replica_kill) return RunReplicaKill(env, seeds, start_seed, verbose);
   if (gray_storm) return RunGrayStorm(env, seeds, start_seed, verbose);
-  if (cache_plane_storm) {
-    return RunCachePlaneStorm(env, seeds, start_seed, verbose);
-  }
 
   obs::SetMetricsEnabled(true);
 
