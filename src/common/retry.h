@@ -210,28 +210,6 @@ class CircuitBreaker {
     }
   }
 
-  /// Const peek at what Allow() would return, consuming NOTHING: no
-  /// rejection is counted toward the open→half-open cooldown and no
-  /// half-open probe slot is claimed. Observers — the serve-tier router's
-  /// dispatch admissibility check — read through here, while the single
-  /// component that owns the probe lifecycle (the health scorer driving
-  /// quarantine→probe→readmit) is the only caller of Allow(). Without
-  /// this split, every dispatch-time check on a half-open breaker would
-  /// steal the one probe slot the scorer's readmit probe needs, and
-  /// quarantined replicas could never rejoin the ring.
-  bool WouldAllow() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    switch (state_) {
-      case State::kClosed:
-        return true;
-      case State::kOpen:
-        return false;
-      case State::kHalfOpen:
-        return !probe_in_flight_;
-    }
-    return true;
-  }
-
   State state() const {
     std::lock_guard<std::mutex> lock(mu_);
     return state_;

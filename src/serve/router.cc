@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <set>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -92,7 +93,9 @@ struct Router::Leg {
   int replica = -1;
   std::vector<size_t> indices;
   std::chrono::steady_clock::time_point sent_at{};
-  double straggler_ms = 0.0;  // hedge threshold frozen at send time
+  // Thresholds frozen at send time; straggler_ms is 0 with hedging off.
+  double straggler_ms = 0.0;
+  double watchdog_ms = 0.0;
   /// A straggle verdict already fired for this leg (or it IS the hedge) —
   /// hedges never cascade; the watchdog covers a straggling hedge.
   bool hedged = false;
@@ -145,18 +148,33 @@ bool Router::SendLeg(int replica_id, std::vector<size_t> indices,
   leg.replica = replica_id;
   leg.indices = std::move(indices);
   leg.sent_at = std::chrono::steady_clock::now();
-  leg.straggler_ms = StragglerThresholdMs(leg.indices.size());
+  leg.straggler_ms =
+      options_.hedge_multiplier > 0.0
+          ? StragglerThresholdMs(leg.indices.size(), options_.hedge_multiplier)
+          : 0.0;
+  leg.watchdog_ms = WatchdogThresholdMs(leg.indices.size());
   leg.hedged = kind == SendKind::kHedge;
   legs->push_back(std::move(leg));
   return true;
 }
 
-double Router::StragglerThresholdMs(size_t leg_tables) const {
-  if (options_.hedge_multiplier <= 0.0) return 0.0;
+double Router::StragglerThresholdMs(size_t leg_tables,
+                                    double multiplier) const {
   const int64_t tokens = static_cast<int64_t>(leg_tables) *
                          static_cast<int64_t>(options_.hedge_tokens_per_table);
   return std::max(options_.hedge_floor_ms,
-                  cost_model_.EstimateP99Ms(tokens) * options_.hedge_multiplier);
+                  cost_model_.EstimateP99Ms(tokens) * multiplier);
+}
+
+double Router::WatchdogThresholdMs(size_t leg_tables) const {
+  if (options_.watchdog_ms > 0.0) return options_.watchdog_ms;
+  // The hedge fires first; the watchdog mops up a replica that stays
+  // wedged. With hedging off it still derives from the cost model, so a
+  // mid-request wedge can never hang a batch that has no deadline.
+  const double multiplier = options_.hedge_multiplier > 0.0
+                                ? options_.hedge_multiplier
+                                : kDefaultHedgeMultiplier;
+  return 4.0 * StragglerThresholdMs(leg_tables, multiplier);
 }
 
 void Router::AccountUnmatchedResponse(uint64_t request_id, size_t tables) {
@@ -219,15 +237,6 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
       1, static_cast<int64_t>(std::llround(
              static_cast<double>(n) * options_.hedge_budget_fraction)));
   int64_t hedged_this_batch = 0;
-
-  // Watchdog threshold for a leg: explicit option, or derived from the
-  // leg's hedge threshold (the hedge fires first, the watchdog mops up a
-  // replica that also wedged the hedge's evidence window).
-  auto watchdog_threshold = [&](const Leg& l) -> double {
-    if (options_.watchdog_ms > 0.0) return options_.watchdog_ms;
-    if (hedging) return 4.0 * l.straggler_ms;
-    return 0.0;  // disabled
-  };
 
   auto acceptable = [&](size_t i, int id) {
     return supervisor_.Dispatchable(id) && blacklist[i].count(id) == 0;
@@ -324,9 +333,6 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
       }
       if (!*next) return true;
       switch (frame.type) {
-        case FrameType::kHeartbeatAck:
-          supervisor_.HandleHeartbeatAck(id, frame.payload);
-          break;
         case FrameType::kDetectResponse: {
           auto resp = DecodeDetectResponse(frame.payload);
           if (!resp.ok()) {
@@ -369,10 +375,9 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
           }
           if (contributed > 0) {
             stats_.resilience.Merge(resp->stats);
-            const double leg_ms =
-                AgeMs(leg->sent_at, std::chrono::steady_clock::now());
-            supervisor_.RecordLegSuccess(id, leg_ms);
-            RecordLegSample(leg->indices.size(), leg_ms);
+            RecordLegSample(
+                leg->indices.size(),
+                AgeMs(leg->sent_at, std::chrono::steady_clock::now()));
           }
           legs.erase(leg);
           break;
@@ -381,6 +386,49 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
           break;  // scrape responses etc. outside a scrape are stale
       }
     }
+  };
+
+  // One read of a replica's socket (the caller knows it is readable, so
+  // the read never blocks) and a drain of the complete frames it buffered.
+  // EOF or a corrupt stream (CRC / framing fault, protocol violation) makes
+  // the replica's bytes untrustworthy: drop it and re-dispatch — a
+  // corrupted frame is never surfaced as a valid result.
+  auto read_replica = [&](int id) {
+    Replica* r = supervisor_.replica(id);
+    char buf[64 * 1024];
+    const ssize_t got = ::read(r->fd, buf, sizeof(buf));
+    if (got > 0) {
+      r->frames.Append(buf, static_cast<size_t>(got));
+      if (process_frames(id)) return;
+    } else if (got < 0 && (errno == EINTR || errno == EAGAIN)) {
+      return;
+    }
+    supervisor_.MarkDead(id);
+    handle_death(id);
+  };
+
+  // An abandoned leg counts only while its replica is the same live
+  // process it was sent to; once the replica dies or respawns the answer
+  // can never come.
+  auto still_owed = [&](const AbandonedLeg& a) {
+    const Replica* r = supervisor_.replica(a.replica);
+    return r->state == ReplicaState::kUp && r->pid == a.pid;
+  };
+
+  // Replicas owing an answer past its watchdog threshold: the holders of
+  // overdue in-flight legs and of overdue legs abandoned in earlier
+  // batches.
+  auto overdue_replicas = [&](std::chrono::steady_clock::time_point now) {
+    std::set<int> ids;
+    for (const Leg& l : legs) {
+      if (AgeMs(l.sent_at, now) > l.watchdog_ms) ids.insert(l.replica);
+    }
+    for (const auto& [request_id, a] : superseded_) {
+      if (still_owed(a) && AgeMs(a.sent_at, now) > a.watchdog_ms) {
+        ids.insert(a.replica);
+      }
+    }
+    return ids;
   };
 
   dispatch([&] {
@@ -401,28 +449,25 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
   };
 
   // Gather loop: wake on replica bytes, SIGCHLD, or the earliest timer
-  // (respawn backoff / idle heartbeat / hedge or watchdog crossing /
-  // deadline).
-  const double overdue_grace_ms = options_.supervisor.heartbeat_interval_ms *
-                                  options_.supervisor.heartbeat_miss_limit;
+  // (respawn backoff / hedge or watchdog crossing / deadline).
   bool overdue_armed = false;
   std::chrono::steady_clock::time_point overdue_since;
   while (unresolved() > 0) {
+    std::erase_if(superseded_,
+                  [&](const auto& entry) { return !still_owed(entry.second); });
     std::vector<pollfd> pfds;
     std::vector<int> owner;  // pfds[i] -> replica id; -1 = sigchld pipe
     pfds.push_back(pollfd{supervisor_.sigchld_fd(), POLLIN, 0});
     owner.push_back(-1);
     for (int id = 0; id < supervisor_.configured_replicas(); ++id) {
       const Replica* r = supervisor_.replica(id);
-      // Quarantined sockets stay in the set: their probe acks and any
-      // still-racing leg responses must drain.
-      if (ProcessAlive(r->state)) {
+      if (r->state == ReplicaState::kUp) {
         pfds.push_back(pollfd{r->fd, POLLIN, 0});
         owner.push_back(id);
       }
     }
     double wait = options_.poll_slack_ms;
-    const double timer = supervisor_.NextTimerMillis(/*idle_heartbeats=*/true);
+    const double timer = supervisor_.NextTimerMillis();
     if (timer >= 0.0) wait = std::min(wait, timer);
     {
       const auto now = std::chrono::steady_clock::now();
@@ -431,13 +476,16 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
         if (hedging && !l.hedged) {
           wait = std::min(wait, std::max(0.0, l.straggler_ms - age));
         }
-        const double wd = watchdog_threshold(l);
-        if (wd > 0.0) wait = std::min(wait, std::max(0.0, wd - age));
+        wait = std::min(wait, std::max(0.0, l.watchdog_ms - age));
+      }
+      for (const auto& [request_id, a] : superseded_) {
+        wait = std::min(wait,
+                        std::max(0.0, a.watchdog_ms - AgeMs(a.sent_at, now)));
       }
     }
     if (!dl.IsInfinite()) {
       const double rem = dl.RemainingMillis();
-      wait = std::min(wait, rem > 0.0 ? rem : overdue_grace_ms / 4.0);
+      wait = std::min(wait, rem > 0.0 ? rem : kOverdueGraceMs / 4.0);
     }
     ::poll(pfds.data(), pfds.size(), PollTimeoutMs(wait));
 
@@ -447,93 +495,66 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
     for (size_t p = 1; p < pfds.size(); ++p) {
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const int id = owner[p];
-      Replica* r = supervisor_.replica(id);
-      if (!ProcessAlive(r->state)) continue;  // died earlier this pass
-      char buf[64 * 1024];
-      const ssize_t got = ::read(r->fd, buf, sizeof(buf));
-      if (got > 0) {
-        r->frames.Append(buf, static_cast<size_t>(got));
-        if (!process_frames(id)) {
-          // Corrupt stream (CRC / framing fault) or protocol violation:
-          // the replica's bytes can no longer be trusted. Feed the health
-          // score, drop it, re-dispatch — a corrupted frame is never
-          // surfaced as a valid result.
-          supervisor_.RecordLegError(id);
-          supervisor_.MarkDead(id);
-          handle_death(id);
-        }
-      } else if (got == 0 || (got < 0 && errno != EINTR && errno != EAGAIN)) {
-        supervisor_.MarkDead(id);
-        handle_death(id);
+      // Skip a replica that died earlier this pass.
+      if (supervisor_.replica(id)->state == ReplicaState::kUp) {
+        read_replica(id);
       }
     }
 
     supervisor_.RespawnEligible();
 
-    // Gray-straggler scan. Two phases (verdicts, then actions) because
-    // hedging and condemnation both mutate `legs`.
-    if (!legs.empty()) {
+    // Wedge verdicts. A suspect's socket is drained first, without
+    // waiting: an answer already sitting in its buffer resolves its leg
+    // (or clears its abandoned entry) and must never lead to a kill. Still
+    // overdue after that, on a live process: the wedge signature.
+    {
+      const auto now = std::chrono::steady_clock::now();
+      for (int id : overdue_replicas(now)) {
+        for (;;) {
+          const Replica* r = supervisor_.replica(id);
+          if (r->state != ReplicaState::kUp) break;
+          pollfd p{r->fd, POLLIN, 0};
+          if (::poll(&p, 1, 0) <= 0) break;
+          read_replica(id);
+        }
+      }
+      for (int id : overdue_replicas(now)) {
+        supervisor_.CondemnWedged(id);
+        handle_death(id);
+      }
+    }
+
+    // Straggler scan: a leg past its hedge threshold is re-sent to its
+    // ring successor. Verdicts first, then dispatch (which mutates legs).
+    if (hedging && !legs.empty()) {
       const auto now = std::chrono::steady_clock::now();
       std::vector<size_t> to_hedge;
-      std::vector<int> to_condemn;
       for (Leg& l : legs) {
-        const double age = AgeMs(l.sent_at, now);
-        const double wd = watchdog_threshold(l);
-        if (wd > 0.0 && age > wd) {
-          // Overdue in-flight work on a live process: the wedge signature.
-          to_condemn.push_back(l.replica);
-          continue;
-        }
-        if (hedging && !l.hedged && age > l.straggler_ms) {
-          l.hedged = true;
-          // The straggle itself is a gray verdict whether or not budget
-          // remains to hedge it.
-          supervisor_.RecordLegError(l.replica);
-          if (hedged_this_batch >= hedge_cap) continue;
-          for (size_t i : l.indices) {
-            if (done[i]) continue;
-            blacklist[i].insert(l.replica);  // successor, not the straggler
-            to_hedge.push_back(i);
-          }
+        if (l.hedged || AgeMs(l.sent_at, now) <= l.straggler_ms) continue;
+        l.hedged = true;
+        if (hedged_this_batch >= hedge_cap) continue;
+        for (size_t i : l.indices) {
+          if (done[i]) continue;
+          blacklist[i].insert(l.replica);  // successor, not the straggler
+          to_hedge.push_back(i);
         }
       }
       if (!to_hedge.empty()) {
         hedged_this_batch += static_cast<int64_t>(to_hedge.size());
         dispatch(std::move(to_hedge), SendKind::kHedge);
       }
-      std::sort(to_condemn.begin(), to_condemn.end());
-      to_condemn.erase(std::unique(to_condemn.begin(), to_condemn.end()),
-                       to_condemn.end());
-      for (int id : to_condemn) {
-        supervisor_.CondemnWedged(id);
-        handle_death(id);
-      }
     }
-
-    std::vector<int> idle;
-    for (int id = 0; id < supervisor_.configured_replicas(); ++id) {
-      const Replica* r = supervisor_.replica(id);
-      // Quarantined replicas are probed on the same cadence — that is the
-      // readmit path — unless a still-racing leg keeps them busy.
-      if (!ProcessAlive(r->state)) continue;
-      const bool busy = std::any_of(legs.begin(), legs.end(), [&](const Leg& l) {
-        return l.replica == id;
-      });
-      if (!busy) idle.push_back(id);
-    }
-    for (int id : supervisor_.ProbeIdle(idle)) handle_death(id);
 
     // A busy replica that stops making progress long past the deadline is
-    // indistinguishable from a wedge (heartbeats only cover idle replicas);
-    // kill and re-dispatch — the replay runs pre-expired and terminates
-    // through the degrade path instead of hanging the batch.
+    // treated as wedged whatever its watchdog threshold: kill and
+    // re-dispatch — the replay runs pre-expired and terminates through the
+    // degrade path instead of holding the batch.
     if (!dl.IsInfinite() && dl.RemainingMillis() <= 0.0 && !legs.empty()) {
       const auto now = std::chrono::steady_clock::now();
       if (!overdue_armed) {
         overdue_armed = true;
         overdue_since = now;
-      } else if (std::chrono::duration<double, std::milli>(now - overdue_since)
-                     .count() > overdue_grace_ms) {
+      } else if (AgeMs(overdue_since, now) > kOverdueGraceMs) {
         std::vector<int> holders;
         for (const Leg& l : legs) holders.push_back(l.replica);
         for (int id : holders) {
@@ -546,10 +567,16 @@ pipeline::BatchResult Router::RunBatch(const std::vector<std::string>& tables) {
   }
 
   // Legs still in flight lost their race (a hedge or the fallback resolved
-  // every table they carried). Remember their request ids so a late
-  // response draining in a future batch is accounted as wasted hedge work
-  // instead of warned about as stale; bounded so the set cannot grow.
-  for (const Leg& l : legs) superseded_.insert(l.request_id);
+  // every table they carried), but their replicas still owe the answers.
+  // Remember them: a late response draining in a future batch or scrape is
+  // accounted as wasted hedge work instead of warned about as stale, and a
+  // replica that never answers is condemned by the watchdog in a later
+  // batch. Bounded so the map cannot grow.
+  for (const Leg& l : legs) {
+    superseded_[l.request_id] = AbandonedLeg{
+        l.replica, supervisor_.replica(l.replica)->pid, l.sent_at,
+        l.watchdog_ms};
+  }
   while (superseded_.size() > 1024) superseded_.erase(superseded_.begin());
 
   // Tables no replica could serve run locally under the remaining budget.
@@ -606,7 +633,7 @@ bool Router::MaintainUntilAllUp(double budget_ms) {
     if (all_up) return true;
     if (dl.Expired()) return false;
     double wait = options_.poll_slack_ms;
-    const double timer = supervisor_.NextTimerMillis(/*idle_heartbeats=*/false);
+    const double timer = supervisor_.NextTimerMillis();
     if (timer >= 0.0) wait = std::min(wait, timer);
     wait = std::min(wait, dl.RemainingMillis());
     pollfd p{supervisor_.sigchld_fd(), POLLIN, 0};
@@ -622,9 +649,7 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
   std::set<int> waiting;
   for (int id = 0; id < supervisor_.configured_replicas(); ++id) {
     Replica* r = supervisor_.replica(id);
-    // Quarantined replicas still scrape: their gauges and counters are part
-    // of the fleet picture (that is how quarantine itself is observed).
-    if (!ProcessAlive(r->state)) continue;
+    if (r->state != ReplicaState::kUp) continue;
     if (WriteFrame(r->fd, FrameType::kScrapeRequest, std::string()).ok()) {
       waiting.insert(id);
     } else {
@@ -650,7 +675,7 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
       if ((pfds[p].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const int id = owner[p];
       Replica* r = supervisor_.replica(id);
-      if (r == nullptr || !ProcessAlive(r->state)) {
+      if (r == nullptr || r->state != ReplicaState::kUp) {
         waiting.erase(id);
         continue;
       }
@@ -678,8 +703,6 @@ Result<obs::Registry::Snapshot> Router::Scrape() {
             parts.push_back({std::to_string(id), std::move(*snap)});
           }
           waiting.erase(id);
-        } else if (frame.type == FrameType::kHeartbeatAck) {
-          supervisor_.HandleHeartbeatAck(id, frame.payload);
         } else if (frame.type == FrameType::kDetectResponse) {
           // A leg that lost its race in the last batch can land here; no
           // leg is in flight between batches, so every response is

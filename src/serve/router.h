@@ -8,12 +8,12 @@
 //
 // Robustness semantics:
 //
-//   * A replica that dies mid-leg (SIGCHLD, socket EOF, or heartbeat
-//     verdict) has its in-flight tables RE-DISPATCHED to surviving
-//     replicas. Detection is a pure function of (table, model weights,
-//     options) and every replica shares the forked model image, so the
-//     replayed work is byte-identical to what the dead replica would have
-//     produced — re-dispatch is idempotent by construction.
+//   * A replica that dies mid-leg (SIGCHLD or socket EOF) has its
+//     in-flight tables RE-DISPATCHED to surviving replicas. Detection is a
+//     pure function of (table, model weights, options) and every replica
+//     shares the forked model image, so the replayed work is
+//     byte-identical to what the dead replica would have produced —
+//     re-dispatch is idempotent by construction.
 //   * Each re-dispatch blacklists the dead replica for those tables, so a
 //     table that reliably kills its owner (the chaos harness injects
 //     exactly this) walks the ring past repeat offenders instead of
@@ -25,8 +25,10 @@
 //     graceful degradation, never a hang.
 //   * Deadline propagation: each leg carries the batch's remaining budget
 //     (wire semantics of serve/wire.h); the batch-level deadline also
-//     bounds the gather loop itself, so a stuck replica cannot hold the
-//     batch past its budget.
+//     bounds the gather loop itself: kOverdueGraceMs past the deadline the
+//     replicas still holding legs are killed and their tables replayed
+//     pre-expired, so a stuck replica cannot hold the batch past its
+//     budget.
 //
 // Gray-failure handling (DESIGN.md §13) — failures that are neither a crash
 // nor an EOF:
@@ -37,22 +39,26 @@
 //     wins; the loser's tables are counted as wasted duplicates
 //     (taste_hedge_wasted_total), never merged twice. Hedge volume per
 //     batch is capped by hedge_budget_fraction.
-//   * WEDGED replicas (SIGSTOP, livelock: in-flight leg long overdue but
-//     the process is alive) are condemned via the supervisor's watchdog
-//     escalation and their pending tables re-dispatched byte-identically.
+//   * WEDGED replicas (SIGSTOP, livelock: the process is alive but a leg it
+//     owes an answer for is long overdue) are condemned via the
+//     supervisor's watchdog escalation and their pending tables
+//     re-dispatched byte-identically. The watchdog judges in-flight legs
+//     AND legs abandoned after losing a hedge race, so a replica that
+//     wedges and stays wedged is killed and respawned rather than left to
+//     make every later batch it owns pay the hedge threshold. It is the
+//     single wedge detector and cannot be switched off.
 //   * CORRUPT frames (CRC / framing faults from serve/wire.h) poison the
 //     stream: the replica is marked dead and its tables re-dispatched — a
 //     corrupted response is never surfaced as valid.
-//   * Every leg outcome feeds the supervisor's per-replica health score;
-//     chronically gray replicas are quarantined out of the ring (minimal
-//     movement) and probed back in.
 
 #ifndef TASTE_SERVE_ROUTER_H_
 #define TASTE_SERVE_ROUTER_H_
 
+#include <sys/types.h>
+
+#include <chrono>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -116,6 +122,14 @@ class ConsistentHashRing {
   std::vector<Point> points_;
 };
 
+/// Default straggler-threshold multiplier; the watchdog derives its
+/// threshold from it when hedging is disabled.
+inline constexpr double kDefaultHedgeMultiplier = 4.0;
+
+/// How long past the batch deadline replicas still holding legs are given
+/// before they are killed and their tables replayed pre-expired.
+inline constexpr double kOverdueGraceMs = 600.0;
+
 struct RouterOptions {
   SupervisorOptions supervisor;
   int vnodes = 64;
@@ -130,7 +144,7 @@ struct RouterOptions {
   /// hedge_multiplier) — is presumed gray-failed and speculatively re-sent
   /// to the ring successor. First valid response wins; duplicates are
   /// suppressed and counted. 0 disables hedging.
-  double hedge_multiplier = 4.0;
+  double hedge_multiplier = kDefaultHedgeMultiplier;
   /// Lower bound on the straggler threshold, so a cold cost model or a
   /// tiny leg does not hedge on scheduling noise.
   double hedge_floor_ms = 25.0;
@@ -145,10 +159,11 @@ struct RouterOptions {
 
   // -- Wedged-replica watchdog -----------------------------------------------
 
-  /// Leg age at which the replica holding it is condemned as wedged
-  /// (SIGTERM → SIGKILL → respawn; supervisor.watchdog_term_grace_ms).
-  /// 0 derives 4× the leg's straggler threshold when hedging is enabled;
-  /// with hedging also disabled the watchdog is off.
+  /// Leg age at which the replica owing it — in flight, or abandoned
+  /// after losing a hedge race — is condemned as wedged (SIGTERM →
+  /// SIGKILL → respawn; supervisor.watchdog_term_grace_ms). 0 derives 4×
+  /// the leg's straggler threshold, taken at kDefaultHedgeMultiplier when
+  /// hedging is disabled: the watchdog is always on.
   double watchdog_ms = 0.0;
 };
 
@@ -213,9 +228,11 @@ class Router {
                const std::vector<std::string>& tables, double remaining_ms,
                SendKind kind, std::vector<Leg>* legs);
 
-  /// Hedge threshold for a leg of `leg_tables` tables; 0 when hedging is
-  /// disabled.
-  double StragglerThresholdMs(size_t leg_tables) const;
+  /// Straggler threshold for a leg of `leg_tables` tables at `multiplier`.
+  double StragglerThresholdMs(size_t leg_tables, double multiplier) const;
+
+  /// Watchdog threshold for a leg of `leg_tables` tables (never 0).
+  double WatchdogThresholdMs(size_t leg_tables) const;
 
   /// Feeds a completed leg's (token volume, wall ms) into the online
   /// cost-model calibration so the straggler threshold tracks the machine.
@@ -235,10 +252,19 @@ class Router {
   /// Straggler-threshold model, online-calibrated from completed legs.
   core::P2CostModel cost_model_;
   std::vector<std::pair<int64_t, double>> cost_samples_;
-  /// Request ids abandoned with their race already resolved (hedge or
-  /// fallback won): a late response is counted as wasted hedge work
-  /// instead of warned about as stale. Bounded.
-  std::set<uint64_t> superseded_;
+  /// A leg still in flight when its batch resolved (a hedge or the
+  /// fallback won its race). The replica still owes the answer: a late
+  /// response is counted as wasted hedge work, and a replica still alive
+  /// under the same pid past watchdog_ms is condemned as wedged.
+  struct AbandonedLeg {
+    int replica = -1;
+    pid_t pid = -1;
+    std::chrono::steady_clock::time_point sent_at{};
+    double watchdog_ms = 0.0;
+  };
+  /// Abandoned legs by request id. Bounded; entries of a replica that died
+  /// or respawned are dropped.
+  std::map<uint64_t, AbandonedLeg> superseded_;
   uint64_t next_request_id_ = 1;
   bool started_ = false;
 };

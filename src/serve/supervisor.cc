@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -54,7 +55,8 @@ Status EnsureSigchldPipe() {
   sa.sa_handler = SigchldHandler;
   sigemptyset(&sa.sa_mask);
   // SA_NOCLDSTOP: a SIGSTOPped worker must NOT look like a death — that is
-  // precisely the wedged-but-alive case heartbeats exist to catch.
+  // precisely the wedged-but-alive case the router's watchdog exists to
+  // catch.
   sa.sa_flags = SA_RESTART | SA_NOCLDSTOP;
   if (::sigaction(SIGCHLD, &sa, nullptr) != 0) {
     return Status::IOError("sigaction(SIGCHLD) failed: errno " +
@@ -87,18 +89,6 @@ obs::Histogram* RecoveryHistogram() {
   return h;
 }
 
-obs::Counter* QuarantineCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("taste_replica_quarantines_total");
-  return c;
-}
-
-obs::Counter* ReadmitCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("taste_replica_readmits_total");
-  return c;
-}
-
 obs::Counter* WatchdogKillCounter() {
   static obs::Counter* c =
       obs::Registry::Global().GetCounter("taste_watchdog_kills_total");
@@ -109,8 +99,6 @@ double StateGaugeValue(ReplicaState s) {
   switch (s) {
     case ReplicaState::kUp:
       return 0.0;
-    case ReplicaState::kQuarantined:
-      return 1.0;
     case ReplicaState::kDead:
       return 2.0;
     case ReplicaState::kParked:
@@ -125,11 +113,7 @@ Supervisor::Supervisor(WorkerEnv env, SupervisorOptions options)
     : env_(std::move(env)), options_(options) {
   TASTE_CHECK(options_.replicas >= 1);
   replicas_.resize(static_cast<size_t>(options_.replicas));
-  for (int i = 0; i < options_.replicas; ++i) {
-    replicas_[i].id = i;
-    replicas_[i].health_breaker =
-        std::make_unique<CircuitBreaker>(options_.quarantine_breaker);
-  }
+  for (int i = 0; i < options_.replicas; ++i) replicas_[i].id = i;
 }
 
 Supervisor::~Supervisor() { Shutdown(); }
@@ -186,25 +170,15 @@ Status Supervisor::Spawn(Replica* r) {
   r->pid = pid;
   r->fd = sv[0];
   r->state = ReplicaState::kUp;
-  r->hb_seq = 0;
-  r->hb_acked = 0;
-  r->hb_misses = 0;
-  r->hb_outstanding = false;
-  r->hb_sent_at = Clock::now();
   r->frames = FrameBuffer();
-  // A respawned process starts with a closed quarantine breaker and a clean
-  // probe streak; the health EWMAs deliberately survive (a chronically bad
-  // replica keeps its record), so its first errors re-quarantine it fast.
-  r->health_breaker->RecordSuccess();
-  r->readmit_streak = 0;
-  UpdateHealthGauges(*r);
+  UpdateStateGauge(*r);
   return Status::OK();
 }
 
 void Supervisor::MarkDead(int id) {
   Replica* r = replica(id);
   TASTE_CHECK(r != nullptr);
-  if (!ProcessAlive(r->state)) return;
+  if (r->state != ReplicaState::kUp) return;
   if (r->pid > 0) {
     ::kill(r->pid, SIGKILL);
     // SIGKILL cannot be blocked; the reap below completes promptly.
@@ -222,13 +196,13 @@ void Supervisor::MarkDead(int id) {
   DeathCounter()->Inc();
   if (r->deaths > options_.max_respawns) {
     r->state = ReplicaState::kParked;
-    UpdateHealthGauges(*r);
+    UpdateStateGauge(*r);
     TASTE_LOG(Warn) << "replica " << r->id << " parked after " << r->deaths
                     << " deaths";
     return;
   }
   r->state = ReplicaState::kDead;
-  UpdateHealthGauges(*r);
+  UpdateStateGauge(*r);
   const double backoff =
       options_.respawn_backoff.BackoffMillis(r->deaths + 1,
                                              static_cast<uint64_t>(r->id));
@@ -239,7 +213,7 @@ void Supervisor::MarkDead(int id) {
 
 void Supervisor::CondemnWedged(int id) {
   Replica* r = replica(id);
-  if (r == nullptr || !ProcessAlive(r->state)) return;
+  if (r == nullptr || r->state != ReplicaState::kUp) return;
   watchdog_kills_ += 1;
   WatchdogKillCounter()->Inc();
   if (r->pid > 0) {
@@ -266,9 +240,8 @@ void Supervisor::CondemnWedged(int id) {
     }
   }
   TASTE_LOG(Warn) << "replica " << id
-                  << " condemned by watchdog (overdue in-flight work, "
-                     "process alive); escalating to SIGKILL";
-  RecordLegError(id);  // a wedge is the strongest gray signal there is
+                  << " condemned by watchdog (overdue leg, process alive); "
+                     "escalating to SIGKILL";
   MarkDead(id);
 }
 
@@ -276,7 +249,7 @@ std::vector<int> Supervisor::ReapDead() {
   DrainSigchldPipe();
   std::vector<int> died;
   for (auto& r : replicas_) {
-    if (!ProcessAlive(r.state) || r.pid <= 0) continue;
+    if (r.state != ReplicaState::kUp || r.pid <= 0) continue;
     int wstatus = 0;
     const pid_t got = ::waitpid(r.pid, &wstatus, WNOHANG);
     if (got != r.pid) continue;
@@ -316,100 +289,21 @@ std::vector<int> Supervisor::RespawnEligible() {
   return up;
 }
 
-double Supervisor::NextTimerMillis(bool idle_heartbeats) const {
+double Supervisor::NextTimerMillis() const {
   const auto now = Clock::now();
   double best = -1.0;
-  auto consider = [&best](double ms) {
-    if (ms < 0.0) ms = 0.0;
-    if (best < 0.0 || ms < best) best = ms;
-  };
   for (const auto& r : replicas_) {
-    if (r.state == ReplicaState::kDead) {
-      consider(MillisBetween(now, r.respawn_at));
-    } else if (idle_heartbeats && ProcessAlive(r.state)) {
-      // Quarantined replicas ride the same cadence: each tick is either a
-      // breaker-cooldown step or a readmit probe.
-      consider(options_.heartbeat_interval_ms -
-               MillisBetween(r.hb_sent_at, now));
-    }
+    if (r.state != ReplicaState::kDead) continue;
+    const double ms = std::max(0.0, MillisBetween(now, r.respawn_at));
+    if (best < 0.0 || ms < best) best = ms;
   }
   return best;
-}
-
-std::vector<int> Supervisor::ProbeIdle(const std::vector<int>& idle_ids) {
-  std::vector<int> condemned;
-  const auto now = Clock::now();
-  for (int id : idle_ids) {
-    Replica* r = replica(id);
-    if (r == nullptr || !ProcessAlive(r->state)) continue;
-    if (MillisBetween(r->hb_sent_at, now) < options_.heartbeat_interval_ms) {
-      continue;
-    }
-    if (r->hb_outstanding) {
-      r->hb_misses += 1;
-      obs::Registry::Global()
-          .GetCounter("taste_heartbeat_misses_total")
-          ->Inc();
-      if (r->state == ReplicaState::kQuarantined) {
-        // A missed readmit probe re-opens the breaker: back to cooldown.
-        r->health_breaker->RecordFailure();
-        r->readmit_streak = 0;
-      }
-      if (r->hb_misses >= options_.heartbeat_miss_limit) {
-        TASTE_LOG(Warn) << "replica " << id << " missed " << r->hb_misses
-                        << " heartbeats; killing";
-        MarkDead(id);
-        condemned.push_back(id);
-        continue;
-      }
-    }
-    if (r->state == ReplicaState::kQuarantined && !r->hb_outstanding) {
-      // Readmit probes are paced by the quarantine breaker, and this is the
-      // ONLY Allow() caller on it — dispatch observes through const reads
-      // (WouldAllow/state), so it can never consume this probe slot. A
-      // rejected tick advances the open→half-open cooldown.
-      if (!r->health_breaker->Allow()) {
-        r->hb_sent_at = now;
-        continue;
-      }
-    }
-    r->hb_seq += 1;
-    WireWriter w;
-    w.U64(r->hb_seq);
-    const Status st = WriteFrame(r->fd, FrameType::kHeartbeat, w.Take());
-    if (!st.ok()) {
-      // Socket already dead — same verdict as a missed-probe kill.
-      MarkDead(id);
-      condemned.push_back(id);
-      continue;
-    }
-    r->hb_outstanding = true;
-    r->hb_sent_at = now;
-  }
-  return condemned;
-}
-
-void Supervisor::HandleHeartbeatAck(int id, const std::string& payload) {
-  Replica* r = replica(id);
-  if (r == nullptr || !ProcessAlive(r->state)) return;
-  WireReader rd(payload);
-  uint64_t seq = 0;
-  if (!rd.U64(&seq)) return;
-  if (seq != r->hb_seq) return;
-  r->hb_acked = seq;
-  r->hb_outstanding = false;
-  r->hb_misses = 0;
-  if (r->state == ReplicaState::kQuarantined) {
-    r->health_breaker->RecordSuccess();
-    r->readmit_streak += 1;
-    if (r->readmit_streak >= options_.readmit_probes) Readmit(r);
-  }
 }
 
 void Supervisor::Shutdown() {
   if (!started_) return;
   for (auto& r : replicas_) {
-    if (ProcessAlive(r.state)) {
+    if (r.state == ReplicaState::kUp) {
       // Polite first: a shutdown frame lets the worker exit 0; SIGKILL
       // catches one wedged mid-request.
       (void)WriteFrame(r.fd, FrameType::kShutdown, std::string());
@@ -438,93 +332,21 @@ const Replica* Supervisor::replica(int id) const {
   return &replicas_[static_cast<size_t>(id)];
 }
 
-void Supervisor::RecordLegSuccess(int id, double latency_ms) {
-  Replica* r = replica(id);
-  if (r == nullptr) return;
-  const double a = options_.health_ewma_alpha;
-  r->ewma_latency_ms = r->health_samples == 0
-                           ? latency_ms
-                           : (1.0 - a) * r->ewma_latency_ms + a * latency_ms;
-  r->ewma_error_rate = (1.0 - a) * r->ewma_error_rate;  // outcome = 0
-  r->health_samples += 1;
-  UpdateHealthGauges(*r);
-}
-
-void Supervisor::RecordLegError(int id) {
-  Replica* r = replica(id);
-  if (r == nullptr) return;
-  const double a = options_.health_ewma_alpha;
-  r->ewma_error_rate = (1.0 - a) * r->ewma_error_rate + a;  // outcome = 1
-  r->health_samples += 1;
-  if (r->state == ReplicaState::kUp &&
-      options_.quarantine_error_threshold > 0.0 &&
-      r->health_samples >= options_.health_min_samples &&
-      r->ewma_error_rate >= options_.quarantine_error_threshold) {
-    Quarantine(r);
-  }
-  UpdateHealthGauges(*r);
-}
-
 bool Supervisor::Dispatchable(int id) const {
   const Replica* r = replica(id);
   return r != nullptr && r->state == ReplicaState::kUp;
 }
 
-void Supervisor::Quarantine(Replica* r) {
-  r->state = ReplicaState::kQuarantined;
-  r->quarantines += 1;
-  r->readmit_streak = 0;
-  // Trip the breaker (threshold 1): readmit probes now pace through its
-  // open→half-open cooldown instead of firing on every heartbeat tick.
-  r->health_breaker->RecordFailure();
-  QuarantineCounter()->Inc();
-  TASTE_LOG(Warn) << "replica " << r->id << " quarantined (error EWMA "
-                  << r->ewma_error_rate << " over " << r->health_samples
-                  << " samples); ring membership revoked";
-}
-
-void Supervisor::Readmit(Replica* r) {
-  r->state = ReplicaState::kUp;
-  r->readmit_streak = 0;
-  // Forgive the record that got it quarantined — otherwise the next single
-  // error re-trips instantly and the replica flaps. Latency EWMA survives.
-  r->ewma_error_rate = 0.0;
-  ReadmitCounter()->Inc();
-  UpdateHealthGauges(*r);
-  TASTE_LOG(Info) << "replica " << r->id << " readmitted after "
-                  << options_.readmit_probes << " clean probes";
-}
-
-void Supervisor::UpdateHealthGauges(const Replica& r) const {
-  const std::string label = std::to_string(r.id);
-  auto& reg = obs::Registry::Global();
-  reg.GetGauge(
-         obs::LabeledName("taste_replica_health_error_rate", "replica", label))
-      ->Set(r.ewma_error_rate);
-  reg.GetGauge(
-         obs::LabeledName("taste_replica_health_latency_ms", "replica", label))
-      ->Set(r.ewma_latency_ms);
-  reg.GetGauge(obs::LabeledName("taste_replica_state", "replica", label))
+void Supervisor::UpdateStateGauge(const Replica& r) const {
+  obs::Registry::Global()
+      .GetGauge(obs::LabeledName("taste_replica_state", "replica",
+                                 std::to_string(r.id)))
       ->Set(StateGaugeValue(r.state));
 }
 
 int Supervisor::alive_count() const {
   int n = 0;
   for (const auto& r : replicas_) n += r.state == ReplicaState::kUp ? 1 : 0;
-  return n;
-}
-
-int Supervisor::quarantined_count() const {
-  int n = 0;
-  for (const auto& r : replicas_) {
-    n += r.state == ReplicaState::kQuarantined ? 1 : 0;
-  }
-  return n;
-}
-
-int64_t Supervisor::total_quarantines() const {
-  int64_t n = 0;
-  for (const auto& r : replicas_) n += r.quarantines;
   return n;
 }
 

@@ -14,27 +14,13 @@
 //     BackoffMillis(deaths, replica_id) drives the delay, so respawn
 //     schedules replay exactly in tests; a replica past max_respawns is
 //     parked permanently instead of crash-looping;
-//   * heartbeat liveness — the router sends probes to IDLE replicas at
-//     heartbeat_interval_ms; heartbeat_miss_limit consecutive unanswered
-//     probes has the replica SIGKILLed and respawned (a wedged-but-alive
-//     process looks exactly like a crash);
-//   * health scoring — every completed or failed leg updates per-replica
-//     EWMAs of latency and error rate (RecordLegSuccess/RecordLegError);
-//     a replica whose error EWMA crosses quarantine_error_threshold is
-//     QUARANTINED: its process stays alive but the router's ring predicate
-//     stops admitting it (minimal-movement: only its tables move). A
-//     per-replica CircuitBreaker then drives the probe lifecycle — the
-//     open→half-open cooldown spaces readmit probes, one heartbeat probe
-//     per half-open, and readmit_probes consecutive acks readmit it. The
-//     dispatch path observes the breaker only through the const
-//     WouldAllow()/state() reads (common/retry.h), so serving-path checks
-//     can never consume the scorer's probe slot;
 //   * wedged-replica watchdog — CondemnWedged() escalates SIGTERM →
-//     (watchdog_term_grace_ms) → SIGKILL for a replica whose in-flight leg
-//     is overdue while its process is still alive (the SIGSTOP /
-//     stuck-syscall gray failure: no SIGCHLD thanks to SA_NOCLDSTOP, no
-//     EOF, possibly live heartbeats). SIGKILL works on stopped processes,
-//     so escalation always terminates.
+//     (watchdog_term_grace_ms) → SIGKILL for a replica that sits on an
+//     overdue leg — in flight, or abandoned after losing a hedge race —
+//     while its process is still alive (the SIGSTOP / stuck-syscall gray
+//     failure: no SIGCHLD thanks to SA_NOCLDSTOP, no EOF). The router owns
+//     the verdict; this is the single wedge detector. SIGKILL works on
+//     stopped processes, so escalation always terminates.
 //
 // The Supervisor never blocks beyond the bounded watchdog grace: every
 // other method returns immediately and the router's poll loop drives
@@ -46,7 +32,6 @@
 #include <sys/types.h>
 
 #include <chrono>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,28 +57,6 @@ struct SupervisorOptions {
   /// Deaths after which a replica is parked for good (no more respawns);
   /// re-dispatch then routes around it permanently.
   int max_respawns = 64;
-  /// Liveness probing of idle replicas.
-  double heartbeat_interval_ms = 200.0;
-  int heartbeat_miss_limit = 3;
-
-  // -- Health scoring (quarantine → probe → readmit) -------------------------
-
-  /// Weight of the newest sample in the per-replica latency/error EWMAs.
-  double health_ewma_alpha = 0.25;
-  /// Error-rate EWMA at or above which an up replica is quarantined.
-  /// Errors are leg-level gray verdicts: straggling past the hedge
-  /// threshold, corrupt frames, deaths. <= 0 disables quarantining.
-  double quarantine_error_threshold = 0.5;
-  /// Outcomes observed before the error EWMA is trusted (a single failed
-  /// first leg must not quarantine a cold replica).
-  int health_min_samples = 3;
-  /// Consecutive successful readmit probes required to rejoin the ring.
-  int readmit_probes = 2;
-  /// Per-replica quarantine breaker: trips on the quarantine verdict
-  /// (threshold 1 — the EWMA already did the counting) and spaces readmit
-  /// probes by open_cooldown_rejections probe ticks.
-  CircuitBreakerOptions quarantine_breaker{.failure_threshold = 1,
-                                           .open_cooldown_rejections = 2};
 
   // -- Wedged-replica watchdog ------------------------------------------------
 
@@ -105,17 +68,10 @@ struct SupervisorOptions {
 };
 
 enum class ReplicaState {
-  kUp,          // process alive, socket open, admitted by the ring
-  kQuarantined, // process alive, out of the ring; probing toward readmit
-  kDead,        // exited/killed; respawn scheduled at respawn_at
-  kParked,      // exceeded max_respawns; permanently out of the ring
+  kUp,      // process alive, socket open, admitted by the ring
+  kDead,    // exited/killed; respawn scheduled at respawn_at
+  kParked,  // exceeded max_respawns; permanently out of the ring
 };
-
-/// True when the replica has a live process and an open socket (kUp or
-/// kQuarantined) — the states crash detection and frame draining apply to.
-inline constexpr bool ProcessAlive(ReplicaState s) {
-  return s == ReplicaState::kUp || s == ReplicaState::kQuarantined;
-}
 
 /// One replica worker process as the supervisor sees it.
 struct Replica {
@@ -127,25 +83,8 @@ struct Replica {
   int respawns = 0;   // successful respawns
   std::chrono::steady_clock::time_point respawn_at{};
   std::chrono::steady_clock::time_point died_at{};
-  // Heartbeat accounting (maintained with the router's idle/busy signal).
-  uint64_t hb_seq = 0;          // last probe sequence sent
-  uint64_t hb_acked = 0;        // last sequence acknowledged
-  int hb_misses = 0;            // consecutive unanswered probes
-  std::chrono::steady_clock::time_point hb_sent_at{};
-  bool hb_outstanding = false;
   /// Router-side incremental frame reassembly for this socket.
   FrameBuffer frames;
-
-  // -- Health score (EWMAs survive respawns: a crash-looping or chronically
-  //    straggling replica does not reset its record by dying) --------------
-  double ewma_latency_ms = 0.0;   // successful-leg latency EWMA
-  double ewma_error_rate = 0.0;   // EWMA over {0 = ok, 1 = error} outcomes
-  int64_t health_samples = 0;     // outcomes folded into the EWMAs
-  int readmit_streak = 0;         // consecutive probe acks while quarantined
-  int64_t quarantines = 0;        // times this replica entered quarantine
-  /// Quarantine lifecycle breaker (see SupervisorOptions). unique_ptr so
-  /// Replica stays movable (CircuitBreaker owns a mutex).
-  std::unique_ptr<CircuitBreaker> health_breaker;
 };
 
 class Supervisor {
@@ -177,13 +116,13 @@ class Supervisor {
   /// whose socket died but whose pid lingers is killed first.
   std::vector<int> ReapDead();
 
-  /// Marks a replica dead right now (socket EOF, heartbeat verdict),
-  /// SIGKILLing the process if it still runs. Idempotent.
+  /// Marks a replica dead right now (socket EOF, corrupt stream, overdue
+  /// deadline), SIGKILLing the process if it still runs. Idempotent.
   void MarkDead(int id);
 
-  /// Wedged-replica watchdog verdict: the replica holds overdue in-flight
-  /// work but its process is alive (no SIGCHLD, no EOF — the SIGSTOP /
-  /// livelock gray failure). Escalates SIGTERM → bounded grace → SIGKILL,
+  /// Wedged-replica watchdog verdict: the replica sits on an overdue leg
+  /// (in flight or hedge-lost) but its process is alive (no SIGCHLD, no
+  /// EOF — the SIGSTOP / livelock gray failure). Escalates SIGTERM → bounded grace → SIGKILL,
   /// then routes through MarkDead for accounting and respawn scheduling.
   void CondemnWedged(int id);
 
@@ -191,42 +130,12 @@ class Supervisor {
   /// ids brought back up.
   std::vector<int> RespawnEligible();
 
-  /// Milliseconds until the earliest pending respawn or (when
-  /// `idle_heartbeats`) next heartbeat action; < 0 when no timer pending.
-  double NextTimerMillis(bool idle_heartbeats) const;
-
-  // -- Heartbeats (idle replicas only; the router says which are idle) -------
-
-  /// Sends a probe to every kUp replica in `idle_ids` whose interval
-  /// elapsed; counts a miss when the previous probe is still unanswered.
-  /// A replica reaching heartbeat_miss_limit is killed and marked dead
-  /// (returned so the router can re-dispatch / log).
-  ///
-  /// Quarantined replicas are ALSO probed here (include them in
-  /// `idle_ids`; the router always does — they hold no dispatchable work).
-  /// Their probes are gated by the per-replica quarantine breaker: Allow()
-  /// rejections space out the cooldown, the half-open probe is one
-  /// heartbeat, and acks/misses feed RecordSuccess/RecordFailure. Only
-  /// this path calls Allow() — dispatch reads WouldAllow()/state() const.
-  std::vector<int> ProbeIdle(const std::vector<int>& idle_ids);
-
-  /// Records a heartbeat ack for `id` (payload = echoed sequence). For a
-  /// quarantined replica a matching ack is a successful readmit probe;
-  /// readmit_probes consecutive ones put it back in the ring.
-  void HandleHeartbeatAck(int id, const std::string& payload);
-
-  // -- Health scoring ---------------------------------------------------------
-
-  /// Folds a completed leg into the replica's health EWMAs.
-  void RecordLegSuccess(int id, double latency_ms);
-
-  /// Folds a gray verdict (straggle past the hedge threshold, corrupt
-  /// frame, death mid-leg) into the EWMAs; may quarantine the replica.
-  void RecordLegError(int id);
+  /// Milliseconds until the earliest pending respawn; < 0 when none is
+  /// pending.
+  double NextTimerMillis() const;
 
   /// True when the router's ring predicate may dispatch to `id`: state is
-  /// kUp. (Quarantined replicas fail this — that IS the membership update;
-  /// the consistent-hash walk moves only their tables.)
+  /// kUp.
   bool Dispatchable(int id) const;
 
   // -- Introspection ---------------------------------------------------------
@@ -235,20 +144,16 @@ class Supervisor {
   Replica* replica(int id);
   const Replica* replica(int id) const;
   int alive_count() const;
-  int quarantined_count() const;
   int64_t total_deaths() const;
   int64_t total_respawns() const;
-  int64_t total_quarantines() const;
   int64_t watchdog_kills() const { return watchdog_kills_; }
   /// Wall-clock death->back-up recovery times observed so far (ms).
   const std::vector<double>& recovery_times_ms() const { return recovery_ms_; }
 
  private:
   Status Spawn(Replica* r);
-  /// Applies the quarantine verdict and exports the per-replica gauges.
-  void UpdateHealthGauges(const Replica& r) const;
-  void Quarantine(Replica* r);
-  void Readmit(Replica* r);
+  /// Exports the replica's taste_replica_state gauge.
+  void UpdateStateGauge(const Replica& r) const;
 
   WorkerEnv env_;
   SupervisorOptions options_;

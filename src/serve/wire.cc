@@ -19,10 +19,6 @@ const char* FrameTypeName(FrameType t) {
       return "detect_request";
     case FrameType::kDetectResponse:
       return "detect_response";
-    case FrameType::kHeartbeat:
-      return "heartbeat";
-    case FrameType::kHeartbeatAck:
-      return "heartbeat_ack";
     case FrameType::kScrapeRequest:
       return "scrape_request";
     case FrameType::kScrapeResponse:

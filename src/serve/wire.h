@@ -49,11 +49,11 @@
 
 namespace taste::serve {
 
+/// Values 3, 4, 8 and 9 belonged to retired frames (DESIGN.md §13, §14);
+/// they are unassigned and rejected as kBadType like any unknown byte.
 enum class FrameType : uint8_t {
   kDetectRequest = 1,   // router -> worker: table names + remaining budget
   kDetectResponse = 2,  // worker -> router: per-table results + stats
-  kHeartbeat = 3,       // router -> worker: liveness probe (u64 sequence)
-  kHeartbeatAck = 4,    // worker -> router: echo of the probe sequence
   kScrapeRequest = 5,   // router -> worker: metrics snapshot request
   kScrapeResponse = 6,  // worker -> router: serialized registry snapshot
   kShutdown = 7,        // router -> worker: drain and exit cleanly
@@ -64,8 +64,15 @@ const char* FrameTypeName(FrameType t);
 /// True when `raw` is a frame type this protocol version defines; anything
 /// else on the wire is a corrupt (or newer-protocol) stream.
 inline constexpr bool ValidFrameType(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(FrameType::kDetectRequest) &&
-         raw <= static_cast<uint8_t>(FrameType::kShutdown);
+  switch (static_cast<FrameType>(raw)) {
+    case FrameType::kDetectRequest:
+    case FrameType::kDetectResponse:
+    case FrameType::kScrapeRequest:
+    case FrameType::kScrapeResponse:
+    case FrameType::kShutdown:
+      return true;
+  }
+  return false;
 }
 
 /// Wire protocol version byte carried by every frame. Version 1 (PR 6) had
@@ -99,7 +106,7 @@ enum class FrameFault : uint8_t {
 const char* FrameFaultName(FrameFault f);
 
 struct Frame {
-  FrameType type = FrameType::kHeartbeat;
+  FrameType type{};
   std::string payload;
 };
 

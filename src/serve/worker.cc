@@ -73,12 +73,6 @@ int WorkerMain(int fd, const WorkerEnv& env, int replica_id) {
       return 0;
     }
     switch (frame->type) {
-      case FrameType::kHeartbeat: {
-        const Status st = WriteFrame(fd, FrameType::kHeartbeatAck,
-                                     frame->payload);
-        if (!st.ok()) return st.code() == StatusCode::kUnavailable ? 0 : 1;
-        break;
-      }
       case FrameType::kDetectRequest: {
         auto req = DecodeDetectRequest(frame->payload);
         if (!req.ok()) {

@@ -11,11 +11,11 @@
 //
 // The worker is single-threaded at the protocol layer: it reads one frame
 // at a time and answers it before reading the next (inference itself may
-// fan out across the executor's thread pools). Heartbeats are therefore
-// answered only between requests — which is exactly what the router's
-// liveness logic assumes: heartbeat timeouts are armed while a replica is
-// idle, and a replica busy with a request is instead covered by SIGCHLD /
-// socket-EOF crash detection plus the request deadline.
+// fan out across the executor's thread pools). The router therefore never
+// probes it: a crash surfaces as SIGCHLD / socket EOF, and a replica that
+// stops answering is caught by the router's watchdog, which judges every
+// leg the replica still owes an answer for — in flight, or abandoned after
+// losing a hedge race.
 
 #ifndef TASTE_SERVE_WORKER_H_
 #define TASTE_SERVE_WORKER_H_

@@ -227,34 +227,6 @@ TEST(CircuitBreakerTest, FailedProbeReopens) {
   EXPECT_EQ(breaker.trips(), 2);
 }
 
-TEST(CircuitBreakerTest, WouldAllowIsAPureObserver) {
-  // Regression for the quarantine/readmit split: serving-path checks read
-  // WouldAllow() and must consume NOTHING — no cooldown rejections, no
-  // half-open probe slot. Only the health scorer's Allow() advances state.
-  CircuitBreaker breaker({.failure_threshold = 1,
-                          .open_cooldown_rejections = 2});
-  EXPECT_TRUE(breaker.WouldAllow());  // closed
-
-  breaker.RecordFailure();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  // Any number of observer reads leaves the breaker open: the cooldown is
-  // measured in Allow() rejections, and none happened.
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(breaker.WouldAllow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.short_circuits(), 0);
-
-  // The owner's two real rejections reach half-open; observers see the
-  // free probe slot without claiming it.
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_FALSE(breaker.Allow());
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(breaker.WouldAllow());
-  EXPECT_TRUE(breaker.Allow());       // the probe slot is still available
-  EXPECT_FALSE(breaker.WouldAllow()); // now it is in flight
-  breaker.RecordSuccess();
-  EXPECT_TRUE(breaker.WouldAllow());
-}
-
 // ---------------------------------------------------------------------------
 // FaultInjector
 

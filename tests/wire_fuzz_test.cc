@@ -33,8 +33,12 @@ namespace taste {
 namespace {
 
 serve::FrameType RandomType(Rng& rng) {
-  // Valid types are 1..7 (ValidFrameType: kDetectRequest..kShutdown).
-  return static_cast<serve::FrameType>(1 + rng.NextU64() % 7);
+  // Only types ValidFrameType admits: a clean corpus must stay clean.
+  static constexpr serve::FrameType kTypes[] = {
+      serve::FrameType::kDetectRequest, serve::FrameType::kDetectResponse,
+      serve::FrameType::kScrapeRequest, serve::FrameType::kScrapeResponse,
+      serve::FrameType::kShutdown};
+  return kTypes[rng.NextU64() % std::size(kTypes)];
 }
 
 std::string RandomPayload(Rng& rng, size_t max_len) {

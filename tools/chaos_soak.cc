@@ -644,9 +644,9 @@ int RunReplicaKill(const Env& env, int seeds, uint64_t start_seed,
 // serving garbage or nothing:
 //
 //   wedge    the ring owner of a chosen table raises SIGSTOP mid-request:
-//            no EOF, no SIGCHLD (SA_NOCLDSTOP), heartbeats merely queue.
-//            Recovery is hedged re-dispatch to the ring successor and/or
-//            the wedged-replica watchdog (SIGTERM -> SIGKILL -> respawn);
+//            no EOF, no SIGCHLD (SA_NOCLDSTOP). Recovery is hedged
+//            re-dispatch to the ring successor and/or the wedged-replica
+//            watchdog (SIGTERM -> SIGKILL -> respawn);
 //   corrupt  the owner computes the right answer but flips one payload bit
 //            after the CRC: the router must REJECT the frame (kBadCrc),
 //            never surface it, kill the now-unsynchronized stream, and
@@ -664,9 +664,12 @@ int RunReplicaKill(const Env& env, int seeds, uint64_t start_seed,
 //   * balanced terminal accounting — every admitted table resolves exactly
 //     once, as kComplete with OK status (faults are off; gray failures must
 //     be invisible in the results);
-//   * corruption is never surfaced — corrupt seeds must move
-//     taste_frames_corrupt_total and kill + re-dispatch the poisoned
-//     stream; drip seeds must NOT move it;
+//   * corruption is never surfaced — on corrupt seeds the corrupted frame
+//     is read (a scrape after the batch drains it even when a hedge won
+//     the race first), rejected and counted on taste_frames_corrupt_total,
+//     the poisoned stream is killed, and the target's tables come from
+//     another leg (re-dispatch, hedge or local fallback); drip seeds must
+//     NOT move the counter;
 //   * wedges actually recover — a wedge seed observes a hedge or a
 //     watchdog kill (per flavor), and the fleet returns to full strength;
 //   * hedge duplicate-work is bounded — wasted <= hedged always.
@@ -768,6 +771,14 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
       ropt.hedge_multiplier = 0.0;
       ropt.watchdog_ms = 80.0;
     }
+    if (sc.kind == GrayKind::kCorrupt) {
+      // A corrupting replica is slow at worst, never wedged: it always
+      // sends its (bad) frame. Keep the watchdog from killing it before
+      // that frame arrives on a slow (e.g. sanitized) build, and give the
+      // post-batch scrape room to drain it.
+      ropt.watchdog_ms = 60'000.0;
+      ropt.scrape_timeout_ms = 60'000.0;
+    }
 
     // Aim the fault at the ring owner of the target table, so the faulty
     // replica is exactly the one the router will pick first.
@@ -796,6 +807,12 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
     TASTE_CHECK(router.Start().ok());
     pipeline::BatchResult batch = router.RunBatch(sc.tables);
     const serve::RouterStats st = router.stats();
+    if (sc.kind == GrayKind::kCorrupt) {
+      // A hedge may resolve the batch before the corrupted frame is read;
+      // the scrape waits for every live replica to answer, so the frame
+      // queued ahead of the scrape response is read and rejected here.
+      if (!router.Scrape().ok()) violate("post-batch scrape failed");
+    }
     const int64_t corrupt_delta = corrupt_frames->Value() - corrupt_before;
 
     // -- Byte-identity against the oracle.
@@ -850,11 +867,14 @@ int RunGrayStorm(const Env& env, int seeds, uint64_t start_seed,
         if (corrupt_delta < 1) {
           violate("corrupt seed moved taste_frames_corrupt_total by 0");
         }
-        if (st.replica_deaths < 1) {
+        if (router.supervisor().total_deaths() < 1) {
           violate("corrupt stream did not kill the poisoned connection");
         }
-        if (st.redispatched_tables + st.local_fallback_tables < 1) {
-          violate("corruption produced no re-dispatch or local fallback");
+        if (st.redispatched_tables + st.hedged_tables +
+                st.local_fallback_tables <
+            1) {
+          violate("corruption produced no re-dispatch, hedge or local "
+                  "fallback");
         }
         break;
       case GrayKind::kDrip:

@@ -30,14 +30,12 @@
 //                            speculatively re-sent to the ring successor
 //                            (first valid response wins). 0 disables
 //                            hedging. Only meaningful with --replicas
-//     --quarantine-threshold X
-//                            error-rate EWMA at which a replica is pulled
-//                            from the dispatch ring and probed until it
-//                            earns readmission (0 disables; default 0.5)
-//     --watchdog-ms X        condemn a replica whose in-flight leg is older
-//                            than X ms while its process is still alive
-//                            (SIGTERM -> SIGKILL -> respawn). 0 = derive
-//                            from the hedge threshold
+//     --watchdog-ms X        condemn a replica owing a leg older than X ms
+//                            (in flight, or abandoned after losing a hedge
+//                            race) while its process is still alive
+//                            (SIGTERM -> SIGKILL -> respawn). 0 = derive 4x
+//                            the hedge threshold, at the default multiplier
+//                            when hedging is off: the watchdog is always on
 //     --p2-dtype fp32|int8   numeric mode of the P2 content tower
 //                            (DESIGN.md §12). int8 runs the encoder and
 //                            content-classifier Linears through prepacked
@@ -83,9 +81,8 @@ struct CliOptions {
   int max_inflight = 0;
   int cache_shards = 1;
   int replicas = 0;
-  double hedge_multiplier = 4.0;       // RouterOptions default
-  double quarantine_threshold = 0.5;   // SupervisorOptions default
-  double watchdog_ms = 0.0;            // 0 = derive from hedge threshold
+  double hedge_multiplier = serve::kDefaultHedgeMultiplier;
+  double watchdog_ms = 0.0;  // 0 = derive from the hedge threshold
   tensor::P2Dtype p2_dtype = tensor::P2Dtype::kFp32;
 };
 
@@ -163,14 +160,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out) {
         std::fprintf(stderr, "--hedge-multiplier must be >= 0\n");
         return false;
       }
-    } else if (arg == "--quarantine-threshold") {
-      const char* v = need_value("--quarantine-threshold");
-      if (v == nullptr) return false;
-      out->quarantine_threshold = std::atof(v);
-      if (out->quarantine_threshold < 0 || out->quarantine_threshold > 1) {
-        std::fprintf(stderr, "--quarantine-threshold must be in [0, 1]\n");
-        return false;
-      }
     } else if (arg == "--watchdog-ms") {
       const char* v = need_value("--watchdog-ms");
       if (v == nullptr) return false;
@@ -215,7 +204,7 @@ void PrintUsage() {
       "          [--no-p2] [--sample] [--json] [--list]\n"
       "          [--metrics-out FILE] [--deadline-ms X] [--max-inflight N]\n"
       "          [--cache-shards N] [--replicas N]\n"
-      "          [--hedge-multiplier X] [--quarantine-threshold X]\n"
+      "          [--hedge-multiplier X]\n"
       "          [--watchdog-ms X] [--p2-dtype fp32|int8]\n");
 }
 
@@ -335,7 +324,6 @@ int main(int argc, char** argv) {
       ropt.supervisor.replicas = cli.replicas;
       ropt.hedge_multiplier = cli.hedge_multiplier;
       ropt.watchdog_ms = cli.watchdog_ms;
-      ropt.supervisor.quarantine_error_threshold = cli.quarantine_threshold;
       router = std::make_unique<serve::Router>(env, ropt);
       if (Status st = router->Start(); !st.ok()) {
         std::fprintf(stderr, "replica startup failed: %s\n",
